@@ -697,22 +697,11 @@ class SlaveRuntime:
         w = self.wstats
         w.retrieval_s += stall
         w.overlap_s += max(0.0, pending.fetch_s - stall)
-        w.decode_s += pending.decode_s
-        w.bytes_wire += pending.bytes_wire
-        w.bytes_logical += pending.bytes_logical
-        w.n_failovers += pending.n_failovers
-        w.n_hedges += pending.n_hedges
-        w.hedge_wins += pending.hedge_wins
-        w.n_fragments += pending.n_fragments
-        w.n_parity_decodes += pending.n_parity_decodes
+        account_fetch_info(w, pending.info)
         if ready:
             w.prefetch_hits += 1
         else:
             w.prefetch_misses += 1
-        if pending.cache_hit:
-            w.cache_hits += 1
-        else:
-            w.cache_misses += 1
         return raw
 
     def _process(self, job: Job, raw: bytes) -> None:

@@ -17,8 +17,8 @@ epilogue -- only the data plane changes:
 * **chunk bytes cross through shared memory.**  The parent (which owns
   the stores, the chunk cache, and the retry policy) fetches each job's
   byte range directly into a :class:`~repro.storage.shm.SharedSegment`
-  (``ParallelFetcher.fetch_into`` writes sub-range GETs straight into
-  the segment), and the worker decodes with a zero-copy
+  (``ParallelFetcher.fetch_chunk_into`` writes sub-range GETs straight
+  into the segment), and the worker decodes with a zero-copy
   ``np.frombuffer`` off the mapped pages.  Codec-encoded chunks ship as
   their *wire frames*: the segment holds the (smaller) encoded bytes
   and the worker inflates them, so decompression parallelizes across
@@ -102,7 +102,7 @@ from repro.storage.shm import (
     attach_segment,
     close_quietly,
 )
-from repro.storage.transfer import FAILOVER_ERRORS, FetchInfo, ParallelFetcher
+from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 __all__ = ["ProcessEngine"]
 
@@ -654,117 +654,40 @@ class ProcessEngine(EngineBase):
         frame (``enc_nbytes`` bytes, often far smaller than the chunk)
         and the worker decodes off the mapped pages, so decompression
         runs on the worker's core instead of serializing in this feeder
-        thread.  Unencoded chunks land as logical bytes via
-        :meth:`ParallelFetcher.fetch_into` (sub-range GETs write into
-        the mapping; zero copies on the direct path).
+        thread.  :meth:`ParallelFetcher.fetch_chunk_into` races the
+        chunk's copies one at a time, each writing straight into the
+        mapping (zero copies on the direct path).
 
-        ``verify_chunks`` forces the parent-decode path -- checksum
-        verification needs the logical bytes here -- so that mode keeps
-        the old one-decode-one-copy behaviour.
+        Chunks whose legs race concurrently -- hedged replicas, erasure
+        stripes -- cannot share one destination; they go through
+        ``fetch_chunk`` and one copy of the logical bytes into the
+        segment.  So does ``verify_chunks`` on a compressed chunk, since
+        checksum verification needs the logical bytes here.
         """
         t0 = time.monotonic()
         chunk = job.chunk
-        sources = chunk.sources
         fetcher = cluster_fetchers[job.location]
-        if chunk.fragments or (
-            self.options.hedge is not None and len(sources) > 1
-        ):
-            # Hedged retrieval races replicas -- and striped retrieval
-            # races fragments fastest-k-of-n -- inside fetch_chunk; ship
-            # logical bytes (one decode + copy in this feeder) -- the
-            # encoded-wire-frame optimization below cannot race because
-            # it writes straight into the destination mapping.
+        direct = fetcher.can_fetch_into(chunk) and not (
+            chunk.codec is not None and self.options.verify_chunks
+        )
+        if direct:
+            nbytes = chunk.wire_nbytes
+        else:
             data, info = fetcher.fetch_chunk(chunk)
-            seg = segments.create(chunk.nbytes)
-            try:
-                seg.buf[: chunk.nbytes] = data
-                info.n_copies += 1  # the copy into the segment
-                if self.options.verify_chunks:
-                    from repro.data.integrity import verify_chunk_bytes
-
-                    verify_chunk_bytes(chunk, seg.buf)
-            except BaseException:
-                segments.release(seg)
-                raise
-            return seg, chunk.nbytes, False, info, time.monotonic() - t0 - info.decode_s
-        encoded = chunk.codec is not None and not self.options.verify_chunks
-        if encoded:
-            seg = segments.create(chunk.enc_nbytes)
-            try:
-                info = self._fetch_into_any(
-                    cluster_fetchers, job, seg.buf, encoded=True
-                )
-                info.bytes_logical = chunk.nbytes
-            except BaseException:
-                segments.release(seg)
-                raise
-            return seg, chunk.enc_nbytes, True, info, time.monotonic() - t0
-        seg = segments.create(chunk.nbytes)
+            nbytes = chunk.nbytes
+        seg = segments.create(nbytes)
         try:
-            if chunk.codec is not None:
-                data, info = fetcher.fetch_chunk(chunk)
-                seg.buf[: chunk.nbytes] = data
-                info.n_copies += 1  # the copy into the segment
+            if direct:
+                info = fetcher.fetch_chunk_into(chunk, seg.buf)
             else:
-                info = self._fetch_into_any(
-                    cluster_fetchers, job, seg.buf, encoded=False
-                )
+                seg.buf[:nbytes] = data
+                info.n_copies += 1  # the copy into the segment
             if self.options.verify_chunks:
                 from repro.data.integrity import verify_chunk_bytes
 
-                verify_chunk_bytes(job.chunk, seg.buf)
+                verify_chunk_bytes(chunk, seg.buf)
         except BaseException:
             segments.release(seg)
             raise
-        return seg, chunk.nbytes, False, info, time.monotonic() - t0 - info.decode_s
-
-    @staticmethod
-    def _fetch_into_any(
-        cluster_fetchers: dict[str, ParallelFetcher],
-        job: Job,
-        buf,
-        *,
-        encoded: bool,
-    ) -> FetchInfo:
-        """``fetch_into`` with replica failover.
-
-        Tries each of the chunk's sources in order, routing every source
-        to the fetcher owning its store, and returns the first success
-        (``info.n_failovers`` counts the sources skipped).  Failures are
-        reported to the shared health registry so breakers open here
-        exactly as they do on the ``fetch_chunk`` path.
-        """
-        chunk = job.chunk
-        sources = chunk.sources
-        last_exc: BaseException | None = None
-        failovers = 0
-        for i, src in enumerate(sources):
-            fetcher = cluster_fetchers.get(src.location)
-            if fetcher is None:
-                raise KeyError(
-                    f"chunk {chunk.key!r} lists source location "
-                    f"{src.location!r} but the cluster has no fetcher for it"
-                )
-            if encoded:
-                offset = (
-                    src.enc_offset if src.enc_offset is not None else chunk.enc_offset
-                )
-                nbytes = (
-                    src.enc_nbytes if src.enc_nbytes is not None else chunk.enc_nbytes
-                )
-            else:
-                offset, nbytes = chunk.offset, chunk.nbytes
-            try:
-                _, info = fetcher.fetch_into(src.key, offset, nbytes, buf)
-            except FAILOVER_ERRORS as exc:
-                last_exc = exc
-                if fetcher.health is not None:
-                    fetcher.health.record_failure(src.location)
-                if i < len(sources) - 1:
-                    failovers += 1
-                    fetcher.n_failovers += 1
-                continue
-            info.n_failovers = failovers
-            return info
-        assert last_exc is not None
-        raise last_exc
+        encoded = direct and chunk.codec is not None
+        return seg, nbytes, encoded, info, time.monotonic() - t0 - info.decode_s

@@ -118,13 +118,15 @@ class ClusterStats:
     n_retries: int = 0              # sub-range retries issued
     n_errors: int = 0               # fetches that failed past the retry policy
     bytes_retried: int = 0          # bytes re-requested by those retries
-    n_breaker_skips: int = 0        # replica sources skipped (breaker open)
+    n_breaker_skips: int = 0        # legs refused by their store's breaker
     n_abandoned: int = 0            # attempts abandoned by per-attempt timeouts
-    # Bytes of losing striped fragments fetched but unused, rolled up
-    # from this cluster's fetchers (see WorkerStats for the DES path).
+    # Bytes of losing legs (fragments or hedged replicas) fetched but
+    # unused, rolled up from this cluster's fetchers (see WorkerStats
+    # for the DES path).
     fragments_wasted_bytes: int = 0
-    # Per-successful-fetch wall seconds (cache hits excluded), pooled
-    # from this cluster's fetchers -- the p95 latency sample set.
+    # Per-winning-leg wall seconds from the start of its race (cache
+    # hits excluded), pooled from this cluster's fetchers -- the p95
+    # latency sample set.
     fetch_latencies: list = field(default_factory=list)
     # Transfer-layer state per data location, filled from this cluster's
     # autotuners when adaptive fetch is on: location -> snapshot dict
@@ -523,7 +525,7 @@ class RunStats:
         of the robustness ladder fired: ``n_failovers`` (sources
         exhausted and routed around), ``n_hedges``/``hedge_wins``
         (latency-triggered duplicates and how often the backup won),
-        ``n_breaker_skips`` (sources skipped behind an open breaker),
+        ``n_breaker_skips`` (legs refused by their store's breaker),
         ``n_abandoned`` (stuck attempts the timeout walked away from),
         and ``fetch_p95_ms``.  The erasure columns do the same for the
         coding rung: ``n_parity_decodes`` (reassemblies that needed a

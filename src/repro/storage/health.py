@@ -19,10 +19,11 @@ better when chunks carry replicas:
   orders replica sources (healthy before half-open before open, faster
   EWMA first) and reports the set of open locations so the scheduler
   can deprioritize chunks stranded behind them.
-* :class:`HedgePolicy` -- when to launch a **hedged fetch**: if the
-  fetch of a chunk exceeds ``multiplier`` times the store's latency EWMA
-  (floored at ``min_threshold_s``), the same range is requested from the
-  next replica and the first result wins.
+* :class:`HedgePolicy` -- when to launch a **hedged fetch**: if a
+  chunk's race is still waiting after ``multiplier`` times the latency
+  EWMA of the fastest store racing it (floored at ``min_threshold_s``),
+  the next leg -- another replica or a parity fragment -- is launched
+  too and the first results win.
 
 The clock is injectable so breaker cooldown tests never sleep.
 """
@@ -116,13 +117,14 @@ class BreakerPolicy:
 
 @dataclass(frozen=True)
 class HedgePolicy:
-    """When to launch a duplicate fetch against another replica.
+    """When to launch a backup leg in a chunk's retrieval race.
 
-    A fetch still in flight after ``multiplier`` times the store's
-    latency EWMA (never less than ``min_threshold_s``; before the EWMA
-    warms up the floor alone applies) is *hedged*: the same chunk is
-    requested from up to ``max_hedges`` further replicas and the first
-    successful result wins, the losers being cancelled or absorbed.
+    A race still waiting after ``multiplier`` times the latency EWMA of
+    the fastest store racing it (never less than ``min_threshold_s``;
+    before the EWMA warms up the floor alone applies) is *hedged*: up to
+    ``max_hedges`` further legs -- replicas or parity fragments -- are
+    launched and the first successful results win, the losers being
+    cancelled or absorbed.
 
     String form (for ``--hedge``)::
 

@@ -5,23 +5,30 @@ capitalize on the fast network interconnects."  Per-connection caps make
 a single GET stream slow; splitting a chunk's byte range across parallel
 sub-range GETs recovers the aggregate bandwidth.
 
-On top of the ranged fetch this module provides the two mechanisms of
-the engines' data pipeline:
+On top of the ranged fetch this module provides the mechanisms of the
+engines' data pipeline:
 
 * an optional :class:`~repro.storage.cache.ChunkCache` consulted before
   any store traffic (cross-iteration reuse);
 * :meth:`ParallelFetcher.fetch_async`, which runs a whole fetch on a
   background thread so a worker can overlap the retrieval of its *next*
-  job with the processing of the current one (double buffering).
+  job with the processing of the current one (double buffering);
+* one fastest-k-of-n race behind :meth:`ParallelFetcher.fetch_chunk`
+  that retrieves every redundancy shape: a single copy is (1, 1), a
+  replica set is k=1 over whole copies, and an erasure stripe is
+  (k, k+m) followed by reassembly.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
+from repro.storage import erasure
 from repro.storage.autotune import AimdAutotuner
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
@@ -106,9 +113,9 @@ class FetchInfo:
     bytes_logical: int = 0
     decode_s: float = 0.0
     n_copies: int = 0
-    # Replica-aware retrieval: wall seconds the winning source's fetch
-    # took (excluding decode), how many sources failed before it, how
-    # many hedged duplicates were launched, and whether a hedge won.
+    # Race accounting: wall seconds from the race's start to its k-th
+    # win (decode excluded), how many legs failed, how many hedge
+    # backups launched, and whether a hedge-launched leg won.
     fetch_s: float = 0.0
     n_failovers: int = 0
     n_hedges: int = 0
@@ -121,43 +128,92 @@ class FetchInfo:
     n_parity_decodes: int = 0
 
 
+class _Leg(NamedTuple):
+    """One place a race can fetch from: a whole copy or one fragment."""
+
+    location: str
+    key: str
+    offset: int
+    nbytes: int
+    frag_index: int | None = None  # None: a whole copy of the wire frame
+
+
+def _legs_for(chunk) -> tuple[list[_Leg], int]:
+    """A chunk as a (k, n) race: its legs, primary first, and k.
+
+    A single copy is (1, 1), a replica set (1, r), an erasure stripe
+    (k, k+m).  The only reader of ``chunk.sources``/``chunk.fragments``
+    on the fetch path.
+    """
+    if chunk.fragments:
+        k, _ = chunk.stripe
+        frags = sorted(chunk.fragments, key=lambda f: f.frag_index)
+        if len(frags) < k:
+            raise erasure.ErasureError(
+                f"chunk {chunk.chunk_id}: {len(frags)} fragments recorded, "
+                f"need at least k={k}"
+            )
+        return [_Leg(f.location, f.key, 0, f.nbytes, f.frag_index) for f in frags], k
+    if chunk.codec is None:
+        return [
+            _Leg(s.location, s.key, chunk.offset, chunk.nbytes)
+            for s in chunk.sources
+        ], 1
+    return [
+        _Leg(
+            s.location,
+            s.key,
+            chunk.enc_offset if s.enc_offset is None else s.enc_offset,
+            chunk.enc_nbytes if s.enc_nbytes is None else s.enc_nbytes,
+        )
+        for s in chunk.sources
+    ], 1
+
+
+def _sequential(legs: list[_Leg], k: int, hedge: HedgePolicy | None) -> bool:
+    """Does this race run one leg at a time on the calling thread?"""
+    return k == 1 and (len(legs) == 1 or hedge is None)
+
+
+class _Refused(Exception):
+    """A leg's store breaker refused it when the leg started."""
+
+
+def _run_inline(fn, *args) -> Future:
+    """``Executor.submit`` for sequential races: run now, return a done future."""
+    f: Future = Future()
+    try:
+        f.set_result(fn(*args))
+    except Exception as exc:
+        f.set_exception(exc)
+    return f
+
+
+def _get_leg(fetcher: "ParallelFetcher", leg: _Leg) -> tuple[Buffer, FetchInfo]:
+    """Default leg body: the leg's byte range as a buffer."""
+    data, hit = fetcher.fetch_with_info(leg.key, leg.offset, leg.nbytes)
+    return data, FetchInfo(cache_hit=hit, bytes_wire=0 if hit else leg.nbytes)
+
+
 class PrefetchHandle:
     """One in-flight asynchronous fetch.
 
-    ``fetch_s`` (wall seconds the fetch spent) and ``cache_hit`` are
-    populated by the background thread and are valid once ``done()``
-    returns True or ``result()`` has returned.  Chunk-aware prefetches
-    (:meth:`ParallelFetcher.fetch_chunk_async`) additionally fill
-    ``decode_s`` (frame-decode time, *separate* from ``fetch_s``) and
-    the wire/logical byte counts.
+    ``fetch_s`` (wall seconds the fetch spent, frame decode excluded)
+    and ``info`` (its :class:`FetchInfo`) are populated by the
+    background thread and are valid once ``done()`` returns True or
+    ``result()`` has returned.
     """
 
-    __slots__ = (
-        "_future",
-        "fetch_s",
-        "cache_hit",
-        "decode_s",
-        "bytes_wire",
-        "bytes_logical",
-        "n_failovers",
-        "n_hedges",
-        "hedge_wins",
-        "n_fragments",
-        "n_parity_decodes",
-    )
+    __slots__ = ("_future", "fetch_s", "info")
 
     def __init__(self) -> None:
         self._future: Future = Future()
         self.fetch_s = 0.0
-        self.cache_hit = False
-        self.decode_s = 0.0
-        self.bytes_wire = 0
-        self.bytes_logical = 0
-        self.n_failovers = 0
-        self.n_hedges = 0
-        self.hedge_wins = 0
-        self.n_fragments = 0
-        self.n_parity_decodes = 0
+        self.info = FetchInfo()
+
+    @property
+    def cache_hit(self) -> bool:
+        return self.info.cache_hit
 
     def done(self) -> bool:
         return self._future.done()
@@ -190,16 +246,14 @@ class ParallelFetcher:
     (``n_retries``/``n_giveups``/``bytes_retried``) and mirrored into
     the backend's :class:`~repro.storage.base.StorageStats`.
 
-    Replica-aware retrieval: when chunks carry extra sources
-    (:attr:`~repro.data.chunks.ChunkInfo.replicas`) and ``siblings``
-    maps the other locations' fetchers, :meth:`fetch_chunk` **fails
-    over** to the next replica when a source exhausts its retry policy
-    (or is permanently gone), ordering candidates by breaker state and
-    latency EWMA when a shared :class:`~repro.storage.health.HealthRegistry`
-    is attached, and skipping open-breakered stores while alternatives
-    remain.  With a :class:`~repro.storage.health.HedgePolicy` a fetch
-    still in flight past the adaptive threshold is duplicated against
-    the next replica and the first result wins.
+    Redundant chunks (replicas or erasure stripes) are fetched by one
+    fastest-k-of-n race (:meth:`fetch_chunk`).  ``siblings`` maps the
+    run's other locations to their fetchers, so each leg is fetched by
+    the fetcher owning its store; a shared
+    :class:`~repro.storage.health.HealthRegistry` orders the legs and
+    gates them through their store's circuit breaker, and a
+    :class:`~repro.storage.health.HedgePolicy` launches backups for
+    legs still in flight past the adaptive threshold.
     """
 
     def __init__(
@@ -229,27 +283,21 @@ class ParallelFetcher:
         self.health = health
         self.hedge = hedge
         #: location -> fetcher for the run's other stores; set by
-        #: ``make_cluster_fetchers`` so replica sources route to the
-        #: fetcher that owns their store (with its own pool/autotuner).
+        #: ``make_cluster_fetchers`` so each leg routes to the fetcher
+        #: that owns its store (with its own pool/autotuner).
         self.siblings: dict[str, "ParallelFetcher"] = {store.location: self}
         self.n_retries = 0
         self.n_giveups = 0
         self.bytes_retried = 0
-        self.bytes_wire = 0
-        self.bytes_logical = 0
-        self.decode_s = 0.0
-        self.n_copies = 0
-        self.n_failovers = 0
-        self.n_hedges = 0
-        self.hedge_wins = 0
         self.n_breaker_skips = 0
         self.n_abandoned = 0
-        #: Bytes of losing striped fragments that completed anyway
-        #: (fetched but unused); fetcher-level only, rolled up after
-        #: close() since losers land after their fetch returns.
+        #: Bytes of losing legs that completed anyway (fetched but
+        #: unused); fetcher-level only, rolled up after close() since
+        #: losers land after their fetch returns.
         self.fragments_wasted_bytes = 0
-        #: per-successful-fetch wall seconds (decode excluded, cache
-        #: hits excluded) -- the sample pool for p95 fetch latency.
+        #: per-winning-leg wall seconds from the start of its race to
+        #: the leg's arrival (decode and cache hits excluded) -- the
+        #: sample pool for p95 fetch latency.
         self.fetch_latencies: list[float] = []
         self._counter_lock = threading.Lock()
         self._hedge_pool: ThreadPoolExecutor | None = None
@@ -264,13 +312,16 @@ class ParallelFetcher:
         self._prefetch_pool: ThreadPoolExecutor | None = None
 
     def _plan_parts(self, nbytes: int) -> int:
-        """Sub-range fan-out for a fetch of ``nbytes`` (adaptive or fixed)."""
+        """Sub-range fan-out for a fetch of ``nbytes``; 1 means one GET."""
+        if self._pool is None:
+            return 1
         if self.autotune is not None:
-            return self.autotune.parts_for(nbytes)
-        n = self.n_threads
-        if self.min_part_nbytes > 0 and nbytes > 0:
-            n = min(n, max(1, nbytes // self.min_part_nbytes))
-        return n
+            n = self.autotune.parts_for(nbytes)
+        else:
+            n = self.n_threads
+            if self.min_part_nbytes > 0 and nbytes > 0:
+                n = min(n, max(1, nbytes // self.min_part_nbytes))
+        return n if nbytes >= n else 1
 
     def fetch(self, key: str, offset: int = 0, nbytes: int | None = None) -> Buffer:
         """Retrieve ``[offset, offset+nbytes)`` of ``key``, reassembled in order.
@@ -301,486 +352,40 @@ class ParallelFetcher:
     def fetch_chunk(self, chunk) -> tuple[Buffer, FetchInfo]:
         """Fetch one index chunk's *logical* bytes, decoding if encoded.
 
-        ``chunk`` is a :class:`~repro.data.chunks.ChunkInfo`.  For
-        chunks the organizer wrote pre-compressed the *encoded* range is
-        what travels the wire (sub-range splitting, retries, and the
-        cache all operate on encoded bytes -- so the same ``cache_mb``
-        budget holds more chunks and a retry re-requests encoded
-        ranges); the frame is decoded after reassembly and checked
-        against the index's logical size.  Returns the decoded bytes
-        plus a :class:`FetchInfo` with wire/logical/decode/copy
-        accounting.
-
-        Chunks carrying replica sources route through the failover (and
-        optionally hedged) path; single-source chunks take the direct
-        path below, with health outcomes still recorded when a registry
-        is attached.
+        ``chunk`` is a :class:`~repro.data.chunks.ChunkInfo`.  Every
+        shape -- one copy, a replica set, an erasure stripe -- is one
+        :meth:`_race` over the chunk's legs; a stripe's ``k`` winning
+        fragments then reassemble into one contiguous frame.  For
+        chunks the organizer wrote pre-compressed the *encoded* range
+        is what travels the wire (sub-range splitting, retries, and the
+        cache all operate on encoded bytes); the frame is decoded once,
+        after the race, and checked against the index's logical size.
+        Returns the decoded bytes plus a :class:`FetchInfo` with
+        wire/logical/decode/copy and race accounting.
 
         Zero-copy: the returned buffer aliases the fetched (or cached)
         bytes whenever the codec allows -- identity-codec frames decode
         to a read-only view over the frame itself, so ``n_copies`` is 0;
         only transforms that inflate (zlib/lz4/shuffle) materialize one
-        new buffer (``n_copies`` 1).
+        new buffer, and a stripe's reassembly is one more.
         """
-        if getattr(chunk, "fragments", None):
-            return self._fetch_chunk_striped(chunk)
-        sources = getattr(chunk, "sources", None)
-        if sources is None or len(sources) <= 1:
-            single = None if sources is None else sources[0]
-            t0 = time.monotonic()
-            try:
-                data, info = self._fetch_chunk_source(chunk, single)
-            except FAILOVER_ERRORS:
-                if self.health is not None:
-                    self.health.record_failure(self.store.location)
-                raise
-            self._record_win(self.store.location, time.monotonic() - t0, info)
-            return data, info
-        if self.hedge is not None:
-            return self._fetch_chunk_hedged(chunk, list(sources))
-        return self._fetch_chunk_failover(chunk, list(sources))
-
-    def _route(self, src) -> "ParallelFetcher":
-        """The fetcher owning ``src``'s store (self for the primary)."""
-        try:
-            return self.siblings[src.location]
-        except KeyError:
-            raise KeyError(
-                f"no fetcher for replica location {src.location!r} "
-                f"(have {sorted(self.siblings)})"
-            ) from None
-
-    def _order_sources(self, sources: list) -> list:
-        """Sources healthiest-first (stable: ties keep primary first)."""
-        if self.health is None:
-            return sources
-        ranked = self.health.order([s.location for s in sources])
-        rank = {loc: i for i, loc in enumerate(ranked)}
-        return sorted(sources, key=lambda s: rank[s.location])
-
-    def _record_win(self, location: str, fetch_s: float, info: FetchInfo) -> None:
-        """Account the winning source's latency and health outcome."""
-        latency = max(0.0, fetch_s - info.decode_s)
-        info.fetch_s = latency
-        if self.health is not None:
-            self.health.record_success(
-                location, None if info.cache_hit else latency
-            )
-        if not info.cache_hit:
-            with self._counter_lock:
-                self.fetch_latencies.append(latency)
-
-    def _fetch_chunk_failover(self, chunk, sources: list) -> tuple[Buffer, FetchInfo]:
-        """Try sources in health order until one yields the chunk."""
-        sources = self._order_sources(sources)
-        last_exc: BaseException | None = None
-        failovers = 0
-        skips = 0
-        for i, src in enumerate(sources):
-            remaining = len(sources) - 1 - i
-            if (
-                self.health is not None
-                and remaining > 0  # the last candidate is always attempted
-                and not self.health.health(src.location).allow()
-            ):
-                skips += 1
-                continue
-            t0 = time.monotonic()
-            try:
-                data, info = self._route(src)._fetch_chunk_source(chunk, src)
-            except FAILOVER_ERRORS as exc:
-                last_exc = exc
-                if self.health is not None:
-                    self.health.record_failure(src.location)
-                if remaining > 0:
-                    failovers += 1
-                continue
-            info.n_failovers = failovers
-            with self._counter_lock:
-                self.n_failovers += failovers
-                self.n_breaker_skips += skips
-            self._record_win(src.location, time.monotonic() - t0, info)
-            return data, info
-        with self._counter_lock:
-            self.n_breaker_skips += skips
-        assert last_exc is not None  # the last source is always attempted
-        raise last_exc
-
-    def _hedge_pool_lazy(self) -> ThreadPoolExecutor:
-        if self._hedge_pool is None:
-            # Legs must never queue behind one another: a stalled
-            # primary holding the last slot would block the very
-            # duplicate launched to escape it, making hedging *worse*
-            # than not hedging.  The executor spawns threads on demand
-            # (never while one sits idle), so the generous cap costs
-            # nothing on quiet runs.
-            self._hedge_pool = ThreadPoolExecutor(
-                max_workers=32, thread_name_prefix="hedge"
-            )
-        return self._hedge_pool
-
-    def _fetch_chunk_hedged(self, chunk, sources: list) -> tuple[Buffer, FetchInfo]:
-        """First-result-wins fetch with latency-triggered duplicates.
-
-        The healthiest source is launched first; if it is still in
-        flight after the hedge threshold (``multiplier`` x that store's
-        latency EWMA, floored), the next source is launched too, up to
-        ``max_hedges`` duplicates.  A source that *fails* immediately
-        triggers the next launch (failover).  Losing fetches are
-        cancelled when still queued, otherwise absorbed by a callback
-        that records their health outcome.
-        """
-        assert self.hedge is not None
-        ordered = self._order_sources(sources)
-        if self.health is not None and len(ordered) > 1:
-            # Put open-breakered stores last without reserving half-open
-            # probe slots for launches that may never happen.
-            open_locs = self.health.open_locations()
-            skipped = [s for s in ordered if s.location in open_locs]
-            ordered = [s for s in ordered if s.location not in open_locs] + skipped
-            if skipped and len(skipped) < len(sources):
-                with self._counter_lock:
-                    self.n_breaker_skips += len(skipped)
-        pool = self._hedge_pool_lazy()
-        health = self.health
-        t_start = time.monotonic()
-
-        def task(src):
-            fetcher = self._route(src)
-            t0 = time.monotonic()
-            try:
-                data, info = fetcher._fetch_chunk_source(chunk, src)
-            except FAILOVER_ERRORS:
-                if health is not None:
-                    health.record_failure(src.location)
-                raise
-            elapsed = time.monotonic() - t0
-            if health is not None:
-                latency = max(0.0, elapsed - info.decode_s)
-                health.record_success(
-                    src.location, None if info.cache_hit else latency
-                )
-            return data, info, elapsed
-
-        inflight: dict[Future, object] = {}
-        next_i = 0
-        launched = 0
-        n_hedges = 0
-        failovers = 0
-        last_exc: BaseException | None = None
-
-        def launch() -> None:
-            nonlocal next_i, launched
-            src = ordered[next_i]
-            next_i += 1
-            launched += 1
-            inflight[pool.submit(task, src)] = src
-
-        launch()
-        while True:
-            # Threshold keyed to the oldest in-flight source's EWMA (no
-            # health registry -> the policy floor alone applies).
-            oldest = next(iter(inflight.values()))
-            ewma = (
-                self.health.health(oldest.location).latency_ewma_s
-                if self.health is not None
-                else 0.0
-            )
-            can_hedge = next_i < len(ordered) and n_hedges < self.hedge.max_hedges
-            timeout = self.hedge.threshold_s(ewma) if can_hedge else None
-            done, _pending = wait(
-                set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            winner: Future | None = None
-            for f in done:
-                exc = f.exception()
-                if exc is None:
-                    winner = f
-                    break
-                if not isinstance(exc, FAILOVER_ERRORS):
-                    # Bugs/corruption fail fast; absorb the other legs.
-                    for g in inflight:
-                        if g is not f and not g.cancel():
-                            g.add_done_callback(lambda fut: fut.exception())
-                    raise exc
-                last_exc = exc
-                del inflight[f]
-                failovers += 1
-            if winner is not None:
-                data, info, _elapsed = winner.result()
-                win_src = inflight.pop(winner)
-                info.n_failovers = failovers
-                info.n_hedges = n_hedges
-                info.hedge_wins = int(win_src is not ordered[0])
-                # Chunk-level latency: from first launch to first result,
-                # hedge-wait included (the leg's own elapsed time already
-                # fed the per-store EWMA inside ``task``).
-                latency = max(0.0, time.monotonic() - t_start - info.decode_s)
-                info.fetch_s = latency
-                with self._counter_lock:
-                    self.n_failovers += failovers
-                    self.n_hedges += n_hedges
-                    self.hedge_wins += info.hedge_wins
-                    if not info.cache_hit:
-                        self.fetch_latencies.append(latency)
-                for f in inflight:  # absorb the losers
-                    if not f.cancel():
-                        f.add_done_callback(lambda fut: fut.exception())
-                return data, info
-            if not inflight and next_i >= len(ordered):
-                with self._counter_lock:
-                    self.n_failovers += failovers
-                    self.n_hedges += n_hedges
-                assert last_exc is not None
-                raise last_exc
-            if not inflight:
-                launch()  # pure failover after a failure
-            elif done:
-                if next_i < len(ordered):
-                    launch()  # replace a failed in-flight source
-            elif can_hedge:
-                n_hedges += 1  # threshold expired: duplicate the range
-                launch()
-
-    def _fetch_chunk_striped(self, chunk) -> tuple[Buffer, FetchInfo]:
-        """Fastest-k-of-n fetch of an erasure-striped chunk.
-
-        The ``k`` cheapest fragments -- data before parity, then breaker
-        rank, so a half-open data store still gets its recovery probe
-        and the common case needs no GF decode -- launch immediately on
-        the shared hedge pool.  A fragment that *fails* triggers the
-        next backup (failover); one still in flight past the
-        :class:`HedgePolicy` threshold launches a backup too (hedge, up
-        to ``max_hedges``).  The first ``k`` completions win; losers are
-        cancelled when still queued, otherwise absorbed by a callback
-        that credits their bytes to ``fragments_wasted_bytes``.  The
-        winners reassemble into one contiguous buffer
-        (:func:`repro.storage.erasure.reassemble`) that feeds the normal
-        frame-decode path, so identity-codec chunks still hand the
-        worker a view over that single buffer.
-        """
-        from repro.storage.erasure import ErasureError, reassemble
-
-        k, m = chunk.stripe
-        ordered = sorted(chunk.fragments, key=lambda f: f.frag_index)
-        skips = 0
-        rank: dict[str, int] = {}
-        if self.health is not None:
-            locs = list(dict.fromkeys(f.location for f in ordered))
-            rank = {loc: i for i, loc in enumerate(self.health.order(locs))}
-            open_locs = self.health.open_locations()
-            healthy = [f for f in ordered if f.location not in open_locs]
-            if len(healthy) >= k and len(healthy) < len(ordered):
-                # Enough healthy sources: open-breakered stores go last,
-                # used only if the healthy ones fail.
-                skips = len(ordered) - len(healthy)
-                ordered = healthy + [
-                    f for f in ordered if f.location in open_locs
-                ]
-        ordered.sort(
-            key=lambda f: (f.frag_index >= k, rank.get(f.location, 0), f.frag_index)
-        )
-        if len(ordered) < k:
-            raise ErasureError(
-                f"chunk {chunk.chunk_id}: {len(ordered)} fragments recorded, "
-                f"need at least k={k}"
-            )
-        pool = self._hedge_pool_lazy()
-        health = self.health
-        t_start = time.monotonic()
-
-        def task(frag):
-            fetcher = self._route(frag)
-            t0 = time.monotonic()
-            try:
-                data, hit = fetcher.fetch_with_info(frag.key, 0, frag.nbytes)
-            except FAILOVER_ERRORS:
-                if health is not None:
-                    health.record_failure(frag.location)
-                raise
-            elapsed = time.monotonic() - t0
-            if health is not None:
-                health.record_success(frag.location, None if hit else elapsed)
-            return data, hit, elapsed
-
-        inflight: dict[Future, object] = {}
-        hedge_launched: set[int] = set()
-        next_i = 0
-        n_hedges = 0
-        failovers = 0
-        wasted = 0
-        last_exc: BaseException | None = None
-        wins: dict[int, tuple[Buffer, bool, float]] = {}
-
-        def launch(as_hedge: bool = False) -> None:
-            nonlocal next_i
-            frag = ordered[next_i]
-            next_i += 1
-            if as_hedge:
-                hedge_launched.add(frag.frag_index)
-            inflight[pool.submit(task, frag)] = frag
-
-        def absorb_losers() -> None:
-            for f, frag in list(inflight.items()):
-                if f.cancel():
-                    continue
-
-                def credit(fut, nb=frag.nbytes):
-                    if fut.cancelled() or fut.exception() is not None:
-                        return
-                    with self._counter_lock:
-                        self.fragments_wasted_bytes += nb
-
-                f.add_done_callback(credit)
-
-        def flush_counters() -> None:
-            with self._counter_lock:
-                self.n_failovers += failovers
-                self.n_hedges += n_hedges
-                self.n_breaker_skips += skips
-                self.fragments_wasted_bytes += wasted
-
-        for _ in range(k):
-            launch()
-        while len(wins) < k:
-            ewma = 0.0
-            if health is not None:
-                # A leg is late relative to what a healthy *sibling*
-                # fragment takes, not to its own store's (possibly
-                # degraded) history: the stripe completes at the k-th
-                # order statistic, so the fastest expected leg sets the
-                # clock the laggards are judged against.
-                ewma = min(
-                    (
-                        e
-                        for f in ordered
-                        if (e := health.health(f.location).latency_ewma_s) > 0.0
-                    ),
-                    default=0.0,
-                )
-            can_hedge = (
-                self.hedge is not None
-                and next_i < len(ordered)
-                and n_hedges < self.hedge.max_hedges
-            )
-            timeout = self.hedge.threshold_s(ewma) if can_hedge else None
-            done, _pending = wait(
-                set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for f in done:
-                frag = inflight.pop(f)
-                exc = f.exception()
-                if exc is None:
-                    data, hit, elapsed = f.result()
-                    if len(wins) < k:
-                        wins[frag.frag_index] = (data, hit, elapsed)
-                    else:
-                        wasted += frag.nbytes
-                elif isinstance(exc, FAILOVER_ERRORS):
-                    last_exc = exc
-                    failovers += 1
-                else:
-                    absorb_losers()
-                    flush_counters()
-                    raise exc
-            if len(wins) >= k:
-                break
-            # Backfill failed legs so k completions stay reachable.
-            while len(inflight) + len(wins) < k and next_i < len(ordered):
-                launch()
-            if len(inflight) + len(wins) < k:
-                absorb_losers()
-                flush_counters()
-                if last_exc is not None:
-                    raise last_exc
-                raise ErasureError(
-                    f"chunk {chunk.chunk_id}: ran out of fragment sources "
-                    f"with {len(wins)} of {k} fetched"
-                )
-            if not done and can_hedge:
-                n_hedges += 1
-                launch(as_hedge=True)
-        t_k = time.monotonic()
-        absorb_losers()
-
-        info = FetchInfo(bytes_logical=chunk.nbytes)
-        info.n_fragments = k
-        info.n_failovers = failovers
-        info.n_hedges = n_hedges
-        info.hedge_wins = int(any(i in hedge_launched for i in wins))
-        info.cache_hit = all(hit for _, hit, _ in wins.values())
-        info.bytes_wire = sum(
-            memoryview(data).nbytes
-            for data, hit, _ in wins.values()
-            if not hit
-        )
+        legs, k = _legs_for(chunk)
+        wins, info = self._race(legs, k, _get_leg, hedge=self.hedge)
         t0 = time.monotonic()
-        frame = bytearray(chunk.wire_nbytes)
-        _, used_parity = reassemble(
-            {i: data for i, (data, _, _) in wins.items()},
-            k, m, chunk.wire_nbytes, out=frame,
-        )
-        info.n_copies += 1  # fragments gathered into one contiguous frame
-        info.n_parity_decodes = int(used_parity)
-        if chunk.codec is None:
-            data_out: Buffer = frame
-            info.decode_s = time.monotonic() - t0
+        if wins[0][0].frag_index is None:
+            frame = wins[0][1]
         else:
-            data_out = decode_chunk(frame)
-            info.decode_s = time.monotonic() - t0
-            if chunk.codec != "identity":
-                info.n_copies += 1  # the inflate materialized new bytes
-            n = memoryview(data_out).nbytes
-            if n != chunk.nbytes:
-                raise CodecError(
-                    f"chunk {chunk.chunk_id}: decoded {n} bytes, "
-                    f"index says {chunk.nbytes}"
-                )
-        info.fetch_s = max(0.0, t_k - t_start)
-        frag_latencies = [
-            elapsed for _, hit, elapsed in wins.values() if not hit
-        ]
-        with self._counter_lock:
-            self.bytes_wire += info.bytes_wire
-            self.bytes_logical += info.bytes_logical
-            self.decode_s += info.decode_s
-            self.n_copies += info.n_copies
-            self.n_failovers += failovers
-            self.n_hedges += n_hedges
-            self.hedge_wins += info.hedge_wins
-            self.n_breaker_skips += skips
-            self.fragments_wasted_bytes += wasted
-            self.fetch_latencies.extend(frag_latencies)
-        return data_out, info
-
-    def _fetch_chunk_source(self, chunk, src=None) -> tuple[Buffer, FetchInfo]:
-        """Fetch the chunk's bytes from one concrete source (no routing).
-
-        ``src`` (a :class:`~repro.data.chunks.ChunkSource`) overrides the
-        key and encoded range; ``None`` means the chunk's own primary.
-        Runs on the fetcher owning the source's store.
-        """
-        key = chunk.key if src is None else src.key
-        info = FetchInfo(bytes_logical=chunk.nbytes)
-        if chunk.codec is None:
-            data, hit = self.fetch_with_info(key, chunk.offset, chunk.nbytes)
-            info.cache_hit = hit
-            if not hit:
-                info.bytes_wire = chunk.nbytes
-        else:
-            enc_offset = chunk.enc_offset
-            enc_nbytes = chunk.enc_nbytes
-            if src is not None and src.enc_offset is not None:
-                enc_offset = src.enc_offset
-            if src is not None and src.enc_nbytes is not None:
-                enc_nbytes = src.enc_nbytes
-            frame, hit = self.fetch_with_info(key, enc_offset, enc_nbytes)
-            info.cache_hit = hit
-            if not hit:
-                info.bytes_wire = enc_nbytes
-            t0 = time.monotonic()
+            frame = bytearray(chunk.wire_nbytes)
+            _, used_parity = erasure.reassemble(
+                {leg.frag_index: data for leg, data in wins},
+                k, chunk.stripe[1], chunk.wire_nbytes, out=frame,
+            )
+            info.n_copies += 1  # fragments gathered into one contiguous frame
+            info.n_fragments = k
+            info.n_parity_decodes = int(used_parity)
+        data = frame
+        if chunk.codec is not None:
             data = decode_chunk(frame)
-            info.decode_s = time.monotonic() - t0
             if chunk.codec != "identity":
                 info.n_copies += 1  # the inflate materialized new bytes
             n = memoryview(data).nbytes
@@ -789,12 +394,232 @@ class ParallelFetcher:
                     f"chunk {chunk.chunk_id}: decoded {n} bytes, "
                     f"index says {chunk.nbytes}"
                 )
-        with self._counter_lock:
-            self.bytes_wire += info.bytes_wire
-            self.bytes_logical += info.bytes_logical
-            self.decode_s += info.decode_s
-            self.n_copies += info.n_copies
+        info.decode_s = time.monotonic() - t0
+        info.bytes_logical = chunk.nbytes
         return data, info
+
+    def can_fetch_into(self, chunk) -> bool:
+        """Can :meth:`fetch_chunk_into` land this chunk in one buffer?
+
+        Only when its legs are whole copies raced one at a time (one
+        source, or no hedge policy): hedged legs race concurrently and
+        a stripe needs reassembly, so neither can share a destination.
+        """
+        legs, k = _legs_for(chunk)
+        return legs[0].frag_index is None and _sequential(legs, k, self.hedge)
+
+    def fetch_chunk_into(self, chunk, out) -> FetchInfo:
+        """Fetch a chunk's *wire* frame straight into ``out``.
+
+        The shared-memory handoff path: the same race as
+        :meth:`fetch_chunk`, with every leg a :meth:`fetch_into` on the
+        fetcher owning its store, so failover, breakers and health all
+        apply.  Nothing is decoded -- ``out`` receives the encoded frame
+        of a compressed chunk.  See :meth:`can_fetch_into`.
+        """
+        if not self.can_fetch_into(chunk):
+            raise ValueError(
+                f"chunk {chunk.chunk_id} races concurrent legs; use fetch_chunk"
+            )
+
+        def into(fetcher: "ParallelFetcher", leg: _Leg) -> tuple[Buffer, FetchInfo]:
+            _, info = fetcher.fetch_into(leg.key, leg.offset, leg.nbytes, out)
+            return out, info
+
+        _, info = self._race(*_legs_for(chunk), into, hedge=None)
+        info.bytes_logical = chunk.nbytes
+        return info
+
+    def _route(self, leg: _Leg) -> "ParallelFetcher":
+        """The fetcher owning ``leg``'s store (self for the primary)."""
+        try:
+            return self.siblings[leg.location]
+        except KeyError:
+            raise KeyError(
+                f"no fetcher for leg location {leg.location!r} "
+                f"(have {sorted(self.siblings)})"
+            ) from None
+
+    def _hedge_pool_lazy(self) -> ThreadPoolExecutor:
+        if self._hedge_pool is None:
+            # Legs must never queue behind one another: a stalled leg
+            # holding the last slot would block the very backup
+            # launched to escape it, making hedging *worse* than not
+            # hedging.  The executor spawns threads on demand (never
+            # while one sits idle), so the generous cap costs nothing
+            # on quiet runs.
+            self._hedge_pool = ThreadPoolExecutor(
+                max_workers=32, thread_name_prefix="hedge"
+            )
+        return self._hedge_pool
+
+    def _run_leg(
+        self, leg: _Leg, ask: bool, body: Callable
+    ) -> tuple[Buffer, FetchInfo]:
+        """Run one leg on the fetcher owning its store, recording health.
+
+        ``ask`` consults the store's breaker as the leg starts (so a leg
+        cancelled while queued never holds a half-open probe slot).
+        """
+        health = self.health
+        if ask and health is not None and not health.health(leg.location).allow():
+            raise _Refused(leg.location)
+        t0 = time.monotonic()
+        try:
+            data, info = body(self._route(leg), leg)
+        except FAILOVER_ERRORS:
+            if health is not None:
+                health.record_failure(leg.location)
+            raise
+        if health is not None:
+            health.record_success(
+                leg.location, None if info.cache_hit else time.monotonic() - t0
+            )
+        return data, info
+
+    def _rank(self, legs: list[_Leg], k: int) -> list[_Leg]:
+        """Launch order: data before parity, then breaker rank, primary first."""
+        rank: dict[str, int] = {}
+        if self.health is not None:
+            locs = list(dict.fromkeys(leg.location for leg in legs))
+            rank = {loc: i for i, loc in enumerate(self.health.order(locs))}
+        return sorted(
+            legs,
+            key=lambda leg: ((leg.frag_index or 0) >= k, rank.get(leg.location, 0)),
+        )
+
+    def _fastest_ewma(self, legs) -> float:
+        """Smallest known latency EWMA among the stores of ``legs``."""
+        if self.health is None:
+            return 0.0
+        return min(
+            (
+                e
+                for leg in legs
+                if (e := self.health.health(leg.location).latency_ewma_s) > 0.0
+            ),
+            default=0.0,
+        )
+
+    def _race(
+        self, legs: list[_Leg], k: int, body: Callable, *, hedge: HedgePolicy | None
+    ) -> tuple[list[tuple[_Leg, Buffer]], FetchInfo]:
+        """Fastest-k-of-n retrieval: the one race every chunk shape runs.
+
+        The ``k`` cheapest legs (:meth:`_rank`) launch first.  A leg that
+        fails triggers the next one (failover).  A leg refused by its
+        store's breaker goes to the back of the queue and the next one
+        takes its place; refused legs run, unasked, only once nothing
+        else is left, and the last candidate is never asked.  With a
+        ``hedge`` policy, a race whose legs are still in flight past
+        ``hedge.threshold_s`` of the smallest latency EWMA among the
+        stores racing (legs in flight or already won) launches a backup,
+        up to ``max_hedges``.  The first ``k`` completions win; losers
+        are cancelled when still queued, otherwise absorbed, their bytes
+        credited to ``fragments_wasted_bytes``.  Races that need no
+        concurrency (:func:`_sequential`) run inline on the calling
+        thread.
+
+        Raises the last failover error when fewer than ``k`` legs can
+        succeed; any other error fails fast.  Returns the ``k`` winning
+        ``(leg, data)`` pairs and a :class:`FetchInfo` carrying the
+        winners' cache/wire/copy accounting plus the race counters.
+        """
+        queue = deque((leg, True) for leg in self._rank(legs, k))
+        submit: Callable[..., Future] = _run_inline
+        if not _sequential(legs, k, hedge):
+            submit = self._hedge_pool_lazy().submit
+        inflight: dict[Future, tuple[_Leg, bool]] = {}
+        wins: list[tuple[_Leg, Buffer, FetchInfo]] = []
+        n_hedges = failures = skips = wasted = 0
+        hedge_won = False
+        last_exc: BaseException | None = None
+        latencies: list[float] = []
+        t_start = time.monotonic()
+
+        def launch(as_hedge: bool = False) -> None:
+            leg, ask = queue.popleft()
+            f = submit(self._run_leg, leg, ask and bool(queue), body)
+            inflight[f] = (leg, as_hedge)
+
+        def settle() -> None:
+            for f, (leg, _) in inflight.items():
+                if not f.cancel():
+                    f.add_done_callback(
+                        lambda fut, nb=leg.nbytes: self._credit_loser(fut, nb)
+                    )
+            with self._counter_lock:
+                self.n_breaker_skips += skips
+                self.fragments_wasted_bytes += wasted
+
+        while True:
+            while len(inflight) + len(wins) < k and queue:
+                launch()  # the k cheapest legs, then backfill failed ones
+            if len(inflight) + len(wins) < k:
+                settle()
+                assert last_exc is not None  # _legs_for yields at least k legs
+                raise last_exc
+            can_hedge = (
+                hedge is not None and bool(queue) and n_hedges < hedge.max_hedges
+            )
+            timeout = None
+            if can_hedge:
+                # Judge laggards by the fastest store racing this chunk
+                # (in flight or already won): a stripe completes at the
+                # k-th order statistic, so its quickest sibling sets the
+                # clock; a lone replica leg is judged by its own store.
+                raced = [leg for leg, _ in inflight.values()]
+                raced += [leg for leg, _, _ in wins]
+                timeout = hedge.threshold_s(self._fastest_ewma(raced))
+            done, _ = wait(inflight, timeout=timeout, return_when=FIRST_COMPLETED)
+            for f in done:
+                leg, as_hedge = inflight.pop(f)
+                exc = f.exception()
+                if exc is None:
+                    data, info = f.result()
+                    if len(wins) == k:
+                        wasted += leg.nbytes
+                        continue
+                    wins.append((leg, data, info))
+                    hedge_won |= as_hedge
+                    if not info.cache_hit:
+                        latencies.append(time.monotonic() - t_start)
+                elif isinstance(exc, _Refused):
+                    skips += 1
+                    queue.append((leg, False))
+                    launch(as_hedge)  # the next candidate takes its place
+                elif isinstance(exc, FAILOVER_ERRORS):
+                    last_exc = exc
+                    failures += 1
+                else:
+                    settle()  # bugs/corruption fail fast
+                    raise exc
+            if len(wins) == k:
+                break
+            if not done and can_hedge:
+                n_hedges += 1
+                launch(as_hedge=True)
+        fetch_s = time.monotonic() - t_start
+        settle()
+        with self._counter_lock:
+            self.fetch_latencies.extend(latencies)
+        info = FetchInfo(
+            cache_hit=all(i.cache_hit for _, _, i in wins),
+            bytes_wire=sum(i.bytes_wire for _, _, i in wins),
+            n_copies=sum(i.n_copies for _, _, i in wins),
+            fetch_s=fetch_s,
+            n_failovers=failures,
+            n_hedges=n_hedges,
+            hedge_wins=int(hedge_won),
+        )
+        return [(leg, data) for leg, data, _ in wins], info
+
+    def _credit_loser(self, fut: Future, nbytes: int) -> None:
+        """Done-callback of an absorbed loser: count its bytes as wasted."""
+        if fut.cancelled() or fut.exception() is not None:
+            return
+        with self._counter_lock:
+            self.fragments_wasted_bytes += nbytes
 
     def _get_with_retry(self, key: str, offset: int, nbytes: int) -> bytes:
         """One store ``get`` under the retry policy, with accounting."""
@@ -828,55 +653,6 @@ class ParallelFetcher:
             self.store.stats.record_error()
             raise
 
-    def _fetch_direct(self, key: str, offset: int, nbytes: int) -> Buffer:
-        n_parts = self._plan_parts(nbytes)
-        t0 = time.monotonic()
-        if self._pool is None or n_parts <= 1 or nbytes < n_parts:
-            data = self._get_with_retry(key, offset, nbytes)
-            if self.autotune is not None:
-                self.autotune.record(nbytes, 1, time.monotonic() - t0)
-            return data
-        # Assemble parallel sub-ranges straight into one preallocated
-        # buffer: each part GET writes its slice in place, so the old
-        # reassembly ``join`` -- a full extra copy of every parallel
-        # fetch -- never happens.
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
-        futures = [
-            self._pool.submit(
-                self._get_part_into, key, off, n, view[off - offset : off - offset + n]
-            )
-            for off, n in parts
-        ]
-        error: BaseException | None = None
-        # Each sub-range retries transient errors internally (when a
-        # policy is set), so only an *exhausted or non-retryable* part
-        # reaches this collection loop.  Collect in part order so such a
-        # failure surfaces the earliest failing sub-range
-        # deterministically; once one part fails, cancel the queued
-        # siblings and absorb the running ones rather than leaving them
-        # racing against the pool shutdown.
-        for f in futures:
-            if error is not None:
-                f.cancel()
-                continue
-            try:
-                f.result()
-            except BaseException as exc:
-                error = exc
-        if error is not None:
-            for f in futures:
-                if not f.cancelled():
-                    try:
-                        f.result()
-                    except BaseException:
-                        pass
-            raise error
-        if self.autotune is not None:
-            self.autotune.record(nbytes, len(parts), time.monotonic() - t0)
-        return out
-
     def fetch_into(
         self, key: str, offset: int, nbytes: int, out
     ) -> tuple[int, FetchInfo]:
@@ -899,67 +675,94 @@ class ParallelFetcher:
                 f"buffer of {view.nbytes} bytes cannot hold {nbytes}-byte fetch"
             )
         if self.cache is not None:
-            # Cache interplay: the cached/evictable entry must outlive
-            # the caller's buffer, so reuse the assembled path and copy
-            # once from the (new or cached) entry into ``out``.
             data, hit = self.fetch_with_info(key, offset, nbytes)
             view[:nbytes] = data
-            info = FetchInfo(
+            return nbytes, FetchInfo(
                 cache_hit=hit,
                 bytes_wire=0 if hit else nbytes,
                 bytes_logical=nbytes,
                 n_copies=1,
             )
-            with self._counter_lock:
-                self.bytes_wire += info.bytes_wire
-                self.bytes_logical += info.bytes_logical
-                self.n_copies += 1
-            return nbytes, info
+        self._fetch_direct(key, offset, nbytes, view)
+        return nbytes, FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
+
+    def _fetch_direct(
+        self, key: str, offset: int, nbytes: int, out: memoryview | None = None
+    ) -> Buffer:
+        """GET ``[offset, offset+nbytes)`` from the store.
+
+        Parallel sub-range GETs each write their own slice of ``out`` (a
+        fresh ``bytearray`` when ``None``) in place, so no reassembly
+        ``join`` ever copies the range; a single GET with no ``out``
+        hands back the store's own bytes, no copy at all.
+        """
         n_parts = self._plan_parts(nbytes)
-        if self._pool is None or n_parts <= 1 or nbytes < n_parts:
-            # Single-connection fetch, still straight into the buffer.
-            t0 = time.monotonic()
-            self._get_part_into(key, offset, nbytes, view[:nbytes])
-            if self.autotune is not None:
-                self.autotune.record(nbytes, 1, time.monotonic() - t0)
-            with self._counter_lock:
-                self.bytes_wire += nbytes
-                self.bytes_logical += nbytes
-            return nbytes, FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
+        parts = [(offset, nbytes)]
+        if n_parts > 1:
+            parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
         t0 = time.monotonic()
-        parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
-        futures = [
-            self._pool.submit(
-                self._get_part_into, key, off, n, view[off - offset : off - offset + n]
-            )
-            for off, n in parts
-        ]
-        error: BaseException | None = None
-        for f in futures:  # same deterministic collection as _fetch_direct
-            if error is not None:
-                f.cancel()
-                continue
+        if len(parts) == 1 and out is None:
+            data: Buffer = self._get_with_retry(key, offset, nbytes)
+        elif len(parts) == 1:
+            data = out  # one GET, copied into the caller's buffer
+            self._get_part_into(key, offset, nbytes, out[:nbytes])
+        else:
+            assert self._pool is not None  # _plan_parts gives 1 without one
+            data = bytearray(nbytes) if out is None else out
+            view = memoryview(data)
+            futures = [
+                self._pool.submit(
+                    self._get_part_into, key, off, n,
+                    view[off - offset : off - offset + n],
+                )
+                for off, n in parts
+            ]
+            # Each sub-range retries transient errors internally (when a
+            # policy is set), so only an *exhausted or non-retryable*
+            # part raises here.  Collect in part order so such a failure
+            # surfaces the earliest failing sub-range deterministically;
+            # then cancel the queued siblings and absorb the running
+            # ones rather than leaving them racing the pool shutdown.
             try:
-                f.result()
-            except BaseException as exc:
-                error = exc
-        if error is not None:
-            for f in futures:
-                if not f.cancelled():
-                    try:
-                        f.result()
-                    except BaseException:
-                        pass
-            raise error
+                for f in futures:
+                    f.result()
+            except BaseException:
+                for f in futures:
+                    f.cancel()
+                wait(futures)
+                raise
         if self.autotune is not None:
             self.autotune.record(nbytes, len(parts), time.monotonic() - t0)
-        with self._counter_lock:
-            self.bytes_wire += nbytes
-            self.bytes_logical += nbytes
-        return nbytes, FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
+        return data
 
     def _get_part_into(self, key: str, offset: int, nbytes: int, dest) -> None:
         dest[:] = self._get_with_retry(key, offset, nbytes)
+
+    def _prefetch(
+        self, fetch: Callable[[], tuple[Buffer, FetchInfo]]
+    ) -> PrefetchHandle:
+        """Run ``fetch`` on the prefetch pool behind a :class:`PrefetchHandle`."""
+        if self._prefetch_pool is None:
+            self._prefetch_pool = ThreadPoolExecutor(
+                max_workers=self.prefetch_workers, thread_name_prefix="prefetch"
+            )
+        handle = PrefetchHandle()
+
+        def work() -> None:
+            if not handle._future.set_running_or_notify_cancel():
+                return
+            t0 = time.monotonic()
+            try:
+                data, handle.info = fetch()
+            except BaseException as exc:
+                handle.fetch_s = time.monotonic() - t0
+                handle._future.set_exception(exc)
+                return
+            handle.fetch_s = time.monotonic() - t0 - handle.info.decode_s
+            handle._future.set_result(data)
+
+        self._prefetch_pool.submit(work)
+        return handle
 
     def fetch_async(
         self, key: str, offset: int = 0, nbytes: int | None = None
@@ -971,63 +774,19 @@ class ParallelFetcher:
         and whether the cache served it, which the engine uses to
         account overlapped (hidden) retrieval time.
         """
-        if self._prefetch_pool is None:
-            self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.prefetch_workers, thread_name_prefix="prefetch"
-            )
-        handle = PrefetchHandle()
 
-        def work() -> None:
-            if not handle._future.set_running_or_notify_cancel():
-                return
-            t0 = time.monotonic()
-            try:
-                data, hit = self.fetch_with_info(key, offset, nbytes)
-            except BaseException as exc:
-                handle.fetch_s = time.monotonic() - t0
-                handle._future.set_exception(exc)
-                return
-            handle.fetch_s = time.monotonic() - t0
-            handle.cache_hit = hit
-            handle._future.set_result(data)
+        def fetch() -> tuple[Buffer, FetchInfo]:
+            data, hit = self.fetch_with_info(key, offset, nbytes)
+            return data, FetchInfo(cache_hit=hit)
 
-        self._prefetch_pool.submit(work)
-        return handle
+        return self._prefetch(fetch)
 
     def fetch_chunk_async(self, chunk) -> PrefetchHandle:
         """Chunk-aware :meth:`fetch_async`: decodes on the background
-        thread and fills the handle's wire/decode accounting, so decode
-        time of prefetched chunks is overlapped (and reported) too."""
-        if self._prefetch_pool is None:
-            self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.prefetch_workers, thread_name_prefix="prefetch"
-            )
-        handle = PrefetchHandle()
-
-        def work() -> None:
-            if not handle._future.set_running_or_notify_cancel():
-                return
-            t0 = time.monotonic()
-            try:
-                data, info = self.fetch_chunk(chunk)
-            except BaseException as exc:
-                handle.fetch_s = time.monotonic() - t0
-                handle._future.set_exception(exc)
-                return
-            handle.fetch_s = time.monotonic() - t0 - info.decode_s
-            handle.cache_hit = info.cache_hit
-            handle.decode_s = info.decode_s
-            handle.bytes_wire = info.bytes_wire
-            handle.bytes_logical = info.bytes_logical
-            handle.n_failovers = info.n_failovers
-            handle.n_hedges = info.n_hedges
-            handle.hedge_wins = info.hedge_wins
-            handle.n_fragments = info.n_fragments
-            handle.n_parity_decodes = info.n_parity_decodes
-            handle._future.set_result(data)
-
-        self._prefetch_pool.submit(work)
-        return handle
+        thread and carries the fetch's :class:`FetchInfo` on the handle,
+        so decode time of prefetched chunks is overlapped (and reported)
+        too."""
+        return self._prefetch(lambda: self.fetch_chunk(chunk))
 
     def close(self) -> None:
         if self._prefetch_pool is not None:

@@ -86,8 +86,9 @@ class TestStripedEngines:
 
 
 class TestStripedPipelineStats:
-    def test_reassembly_copy_surfaces_in_pipeline_rows(self):
-        tokens, rr = run("threaded", make_stores())
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_reassembly_copy_surfaces_in_pipeline_rows(self, prefetch):
+        tokens, rr = run("threaded", make_stores(), prefetch=prefetch)
         rows = rr.stats.pipeline_rows()
         # Identity codec: the only copy per chunk is the reassembly.
         assert sum(r["n_copies"] for r in rows) == rr.stats.jobs_processed

@@ -218,3 +218,36 @@ class TestConfiguration:
         rr = ProcessEngine(clusters, stores, prefetch=False).run(spec, index)
         assert rr.result == wordcount_exact(toks)
         assert rr.stats.jobs_processed == len(index.chunks)
+
+
+class TestReplicaBreaker:
+    @pytest.mark.parametrize("engine", ["threaded", "process", "actor"])
+    def test_open_breaker_stops_fetches_to_dead_replica(self, engine):
+        # The cloud store dies after placement; every cloud chunk fails
+        # over to its local replica.  Once the cloud breaker opens, no
+        # transport may keep sending fetches there: the only failures
+        # are the opening streak plus fetches already in flight.
+        from repro.bursting.driver import run_threaded_bursting
+        from repro.storage.faults import FaultInjectingStore, FaultSpec
+        from repro.storage.health import BreakerPolicy
+
+        toks = generate_tokens(20_000, 500, seed=45)
+        stores = {
+            "local": MemoryStore("local"),
+            "cloud": FaultInjectingStore(
+                MemoryStore("cloud"), FaultSpec(permanent_keys=("part",)),
+                armed=False,
+            ),
+        }
+        policy = BreakerPolicy(fail_threshold=2, recovery_s=60.0)
+        rr = run_threaded_bursting(
+            WordCountSpec(), toks, stores, engine=engine, n_files=6,
+            replicas=1, breaker=policy,
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0),
+        )
+        assert rr.result == wordcount_exact(toks)
+        assert rr.stats.n_failed_workers == 0
+        n_workers = sum(len(c.workers) for c in rr.stats.clusters.values())
+        failures = rr.stats.breakers["cloud"]["n_failures"]
+        assert policy.fail_threshold <= failures
+        assert failures <= policy.fail_threshold + n_workers - 1

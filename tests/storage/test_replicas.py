@@ -290,6 +290,32 @@ class TestHedging:
         # local read.
         assert p95_hedged < p95_plain
 
+    def test_failover_win_is_not_a_hedge_win(self):
+        # The primary store is dead and the hedge threshold is far away:
+        # every cloud chunk fails over to its replica without a hedge
+        # ever launching, so no race may be credited as a hedge win.
+        cloud = FaultInjectingStore(
+            MemoryStore("cloud"), FaultSpec(permanent_keys=("part",)),
+            armed=False,
+        )
+        stores = {"local": MemoryStore("local"), "cloud": cloud}
+        units, index = make_dataset(stores)
+        cloud.arm()
+        fetchers = make_fetchers(
+            stores, health=HealthRegistry(),
+            hedge=HedgePolicy(min_threshold_s=1.0),
+        )
+        try:
+            results = fetch_everything(index, fetchers)
+        finally:
+            for f in fetchers.values():
+                f.close()
+        assert b"".join(d for d, _ in results) == units.tobytes()
+        cloud_chunks = sum(1 for c in index.chunks if c.location == "cloud")
+        assert sum(i.n_failovers for _, i in results) == cloud_chunks
+        assert sum(i.n_hedges for _, i in results) == 0
+        assert sum(i.hedge_wins for _, i in results) == 0
+
     def test_hedged_fetch_with_all_sources_dead_raises(self):
         spec = FaultSpec(permanent_keys=("part",))
         stores = {

@@ -4,6 +4,8 @@ Chaos is the seeded fault injector throughout; breaker cooldowns use an
 injectable fake clock, so no test sleeps on the wall clock.
 """
 
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +270,23 @@ class TestBreakerStripedRouting:
         skips = sum(f.n_breaker_skips for f in fetchers.values())
         assert skips > 0
 
+    def test_breaker_consulted_as_each_leg_starts(self):
+        stores = make_stores(dead=("spare0",))
+        units, index = make_striped(stores)
+        health = HealthRegistry(BreakerPolicy(fail_threshold=2, recovery_s=60.0))
+        fetchers = make_fetchers(stores, health=health)
+        try:
+            results = fetch_everything(index, fetchers)
+        finally:
+            for f in fetchers.values():
+                f.close()
+        assert b"".join(d for d, _ in results) == units.tobytes()
+        snap = health.snapshot()["spare0"]
+        # After the opening streak every leg bound for the dead store is
+        # refused by its breaker and replaced: no further failures.
+        assert snap["n_failures"] == 2
+        assert snap["n_rejected"] > 0
+
     def test_half_open_probe_recovers_store(self):
         clock = FakeClock()
         stores = make_stores(dead=("spare0",))
@@ -295,6 +314,54 @@ class TestBreakerStripedRouting:
         assert snap["n_closed"] >= 1
         # With every store healthy again, no parity decode is needed.
         assert sum(i.n_parity_decodes for _, i in results) == 0
+
+
+class TestConcurrentRaces:
+    def test_shared_fetchers_lose_no_counter_updates(self):
+        # More fetching threads than cores over one set of fetchers, with
+        # a short switch interval: every winning leg's latency sample and
+        # every breaker refusal must be counted exactly once.
+        stores = make_stores(dead=("spare0",))
+        units, index = make_striped(stores)
+        health = HealthRegistry(BreakerPolicy(fail_threshold=2, recovery_s=60.0))
+        fetchers = make_fetchers(stores, health=health)
+        chunks = index.chunks * 4
+        results, errors = [], []
+
+        def worker(part):
+            try:
+                for c in part:
+                    data, info = fetchers[c.location].fetch_chunk(c)
+                    results.append((c.chunk_id, bytes(data), info))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(chunks[i::8],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for f in fetchers.values():
+                f.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == len(chunks)
+        expected = {c.chunk_id: units.tobytes()[i * 20:(i + 1) * 20]
+                    for i, c in enumerate(index.chunks)}
+        assert all(data == expected[cid] for cid, data, _ in results)
+        wins = sum(info.n_fragments for _, _, info in results)
+        assert sum(len(f.fetch_latencies) for f in fetchers.values()) == wins
+        skips = sum(f.n_breaker_skips for f in fetchers.values())
+        assert skips == health.snapshot()["spare0"]["n_rejected"] > 0
+        assert sum(f.fragments_wasted_bytes for f in fetchers.values()) == 0
 
 
 class TestEngineOptionsStripe:
