@@ -11,8 +11,8 @@ core regardless of which side of a process boundary it runs on -- so
 there the benchmark bounds the process engine's fork/IPC overhead
 instead of asserting a speedup that is physically impossible.
 
-Since every engine now runs the same ``SlaveRuntime`` worker loop, each
-is also timed with the full pipeline on -- ``EngineOptions(prefetch=True,
+Since both engines accept the same option surface, each is also timed
+with the full pipeline on -- ``EngineOptions(prefetch=True,
 chunk_cache=...)``, a warm pass then a measured pass -- so the JSON
 shows what the data pipeline buys per engine, not just per feature.
 
@@ -37,7 +37,7 @@ from repro.storage.local import MemoryStore
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 WORKERS = 4
 ROUNDS = 3
 # Heavy fold per byte: large k keeps the per-group scatter-add loop hot,
@@ -96,7 +96,7 @@ def time_pipelined(name, spec, stores, index, clusters, ref):
     The first pass fills the cache (an iterative workload's iteration
     1); the measured second pass is iteration 2+, where every fetch is
     a cache hit and the prefetcher overlaps what little retrieval
-    remains with folding.  Same ``EngineOptions`` object on all three
+    remains with folding.  Same ``EngineOptions`` object on both
     engines -- that the option set is engine-agnostic is the point.
     """
     cache = ChunkCache(256 << 20)

@@ -184,10 +184,9 @@ def run_threaded_bursting(
     dataset is written to the local store, distributed according to
     ``local_fraction``, and processed by workers at both sites with the
     full scheduling/stealing protocol.  ``engine`` selects the executor:
-    ``"threaded"`` (default), ``"process"`` (one OS process per slave,
-    shared-memory data handoff), or ``"actor"`` (message-passing over
-    explicit channels); every engine accepts every option, as they all
-    run the same shared slave runtime.  ``prefetch`` double-buffers the
+    ``"threaded"`` (default, one job on the service's slave fleet) or
+    ``"process"`` (one OS process per slave, shared-memory data
+    handoff); both engines accept every option.  ``prefetch`` double-buffers the
     workers; ``chunk_cache`` (a :class:`~repro.storage.cache.ChunkCache`)
     serves repeat fetches from memory.  ``retry`` (a
     :class:`~repro.storage.retry.RetryPolicy`) and ``crash_plan``

@@ -25,7 +25,7 @@ from repro.core.api import GeneralizedReductionSpec
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex
-from repro.runtime import make_engine
+from repro.runtime import engine_class
 from repro.runtime.core import EngineOptions
 from repro.runtime.engine import ClusterConfig, RunResult
 from repro.storage.autotune import AutotuneParams
@@ -40,7 +40,7 @@ _MB = 1 << 20
 
 
 class BurstingSession:
-    """Holds a distributed dataset plus an engine, for repeated passes.
+    """Holds a distributed dataset plus engine settings, for repeated passes.
 
     ``prefetch=True`` double-buffers every worker (fetch of job N+1
     overlapped with processing of job N); ``cache_mb`` adds a session-
@@ -61,12 +61,10 @@ class BurstingSession:
     sub-range size so small chunks travel as a single GET.
 
     ``engine`` selects the execution engine: ``"threaded"`` (default,
-    worker threads), ``"process"`` (one OS process per slave with
-    shared-memory data handoff -- see
-    :class:`~repro.runtime.process_engine.ProcessEngine`), or
-    ``"actor"`` (message-passing over explicit channels).  Every engine
-    accepts every option -- they all run the same
-    :class:`~repro.runtime.core.SlaveRuntime` worker loop.
+    worker threads of a :class:`~repro.service.BurstingService` fleet)
+    or ``"process"`` (one OS process per slave with shared-memory data
+    handoff -- see :class:`~repro.runtime.process_engine.ProcessEngine`).
+    Both accept every option.
 
     ``pushdown`` (``"prune"`` or ``"verify"``) turns on metadata-first
     retrieval for every pass: specs declaring ``relevant``/``priority``
@@ -125,10 +123,11 @@ class BurstingSession:
         }
         if scheduler_factory is not None:
             kwargs["scheduler_factory"] = scheduler_factory
+        engine_class(engine)  # rejects unknown names up front
         self.engine_name = engine
         self._clusters = clusters
         self._options = EngineOptions(**kwargs)
-        self.engine = make_engine(engine, clusters, stores, options=self._options)
+        self._options.validate_clusters(clusters)
         self.passes_run = 0
 
     @classmethod
@@ -169,26 +168,19 @@ class BurstingSession:
     def run(self, spec: GeneralizedReductionSpec) -> RunResult:
         """Execute one pass of ``spec`` over the session's dataset.
 
-        The session is now a thin compatibility wrapper over the
-        multi-tenant :class:`~repro.service.BurstingService`: each pass
-        spins up a one-shot single-tenant service over the session's
-        *live* store map, submits one job, blocks on its result, and
-        shuts the service down -- so per-pass semantics (crash plans,
-        store swaps between passes, the shared chunk cache) are exactly
-        the historical one-shot engine run.
+        Each pass is one job on a fresh single-job
+        :class:`~repro.service.BurstingService` over the session's
+        *live* store map (:func:`~repro.service.service.run_one`, the
+        same path as :class:`~repro.runtime.engine.ThreadedEngine`), so
+        per-pass semantics -- crash plans, store swaps between passes,
+        the shared chunk cache -- are those of a one-shot engine run.
         """
-        from repro.service import BurstingService
+        from repro.service.service import run_one
 
-        service = BurstingService(
-            self._clusters,
-            self.stores,
+        result = run_one(
+            self._clusters, self.stores, self._options, spec, self.index,
             engine=self.engine_name,
-            options=self._options,
         )
-        try:
-            result = service.submit(spec, self.index).result()
-        finally:
-            service.shutdown()
         self.passes_run += 1
         return result
 

@@ -115,12 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run the wordcount quickstart")
     p.add_argument("--tokens", type=int, default=100_000)
     p.add_argument("--vocab", type=int, default=2_000)
-    p.add_argument("--engine", choices=("threaded", "process", "actor"),
+    p.add_argument("--engine", choices=("threaded", "process"),
                    default="threaded",
-                   help="execution engine: worker threads (default), one OS "
-                        "process per slave with shared-memory data handoff, "
-                        "or message-passing actors; all engines accept all "
-                        "options below")
+                   help="execution engine: worker threads (default) or one "
+                        "OS process per slave with shared-memory data "
+                        "handoff; both engines accept all options below")
     p.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="double-buffer every worker: fetch job N+1 while "
@@ -202,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--jobs", type=int, default=4,
                     help="concurrent jobs to submit (alternating apps and "
                          "tenants)")
-    pr.add_argument("--engine", choices=("threaded", "process", "actor"),
+    pr.add_argument("--engine", choices=("threaded", "process"),
                     default="threaded",
                     help="threaded interleaves jobs chunk-by-chunk on one "
-                         "fleet; process/actor execute each admitted job "
-                         "whole (admission-level sharing)")
+                         "fleet; process executes each admitted job whole "
+                         "(admission-level sharing)")
     pr.add_argument("--tokens", type=int, default=60_000,
                     help="wordcount dataset size")
     pr.add_argument("--points", type=int, default=12_000,
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--app", choices=("wordcount", "kmeans"),
                     default="wordcount")
     ps.add_argument("--tenant", default="default")
-    ps.add_argument("--engine", choices=("threaded", "process", "actor"),
+    ps.add_argument("--engine", choices=("threaded", "process"),
                     default="threaded")
     ps.add_argument("--tokens", type=int, default=60_000)
     ps.add_argument("--points", type=int, default=12_000)

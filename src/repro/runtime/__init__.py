@@ -1,24 +1,14 @@
 """Runtime: jobs, scheduling policy, stats, and the execution engines."""
 
-from repro.runtime.actors import ActorEngine
 from repro.runtime.core import (
     ClusterConfig,
     EngineOptions,
     LockMaster,
     MasterPort,
     RunResult,
-    SlaveRuntime,
 )
 from repro.runtime.engine import ThreadedEngine
 from repro.runtime.jobs import Job, LocalJobPool, jobs_from_index
-from repro.runtime.messages import (
-    AssignJobs,
-    Channel,
-    ReassignJobs,
-    RequestJobs,
-    RobjUpload,
-    Shutdown,
-)
 from repro.runtime.process_engine import ProcessEngine
 from repro.runtime.pushdown import (
     PushdownPlan,
@@ -29,23 +19,29 @@ from repro.runtime.pushdown import (
 from repro.runtime.scheduler import HeadScheduler, RandomScheduler, StaticScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 
-#: The three execution engines, keyed by their CLI / driver name.
+#: The two execution engines (transports), keyed by their CLI / driver name.
 #:
-#: * ``threaded`` -- worker threads in one process; the reference
-#:   implementation of the head/master/slave protocol.
+#: * ``threaded`` -- worker threads in one process: one job on the
+#:   :class:`~repro.service.BurstingService` slave fleet.
 #: * ``process`` -- one real OS process per slave; chunk bytes cross via
 #:   shared memory, reduction objects via pickle-5 out-of-band buffers.
-#: * ``actor`` -- message-passing actors over explicit channels; the
-#:   protocol-fidelity engine.
 #:
-#: All three accept the same :class:`EngineOptions` surface and run the
-#: same :class:`SlaveRuntime` worker loop; they differ only in how the
-#: control plane is transported.
+#: Both accept the same :class:`EngineOptions` surface and finish every
+#: run through the same :func:`~repro.runtime.core.finalize_run`.
 ENGINES = {
     "threaded": ThreadedEngine,
     "process": ProcessEngine,
-    "actor": ActorEngine,
 }
+
+
+def engine_class(name: str):
+    """The engine class registered as ``name``; ValueError if unknown."""
+    try:
+        return ENGINES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown engine {name!r}; expected one of {sorted(ENGINES)}"
+        ) from None
 
 
 def make_engine(name: str, clusters, stores, **kwargs):
@@ -56,36 +52,23 @@ def make_engine(name: str, clusters, stores, **kwargs):
     accepts every option.  Alternatively pass a prebuilt options object
     as ``options=EngineOptions(...)``.
     """
-    try:
-        cls = ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {sorted(ENGINES)}"
-        ) from None
-    return cls(clusters, stores, **kwargs)
+    return engine_class(name)(clusters, stores, **kwargs)
 
 
 __all__ = [
-    "ActorEngine",
     "ClusterConfig",
     "EngineOptions",
     "LockMaster",
     "MasterPort",
-    "SlaveRuntime",
     "RunResult",
     "ThreadedEngine",
     "ProcessEngine",
     "ENGINES",
+    "engine_class",
     "make_engine",
     "Job",
     "LocalJobPool",
     "jobs_from_index",
-    "AssignJobs",
-    "Channel",
-    "ReassignJobs",
-    "RequestJobs",
-    "RobjUpload",
-    "Shutdown",
     "PushdownPlan",
     "PushdownSoundnessError",
     "plan_jobs",

@@ -1,37 +1,28 @@
-"""Shared slave-runtime core: one worker loop for every engine.
+"""Shared engine core: the pieces both transports of the protocol use.
 
 The paper describes a single protocol -- a head pool, per-cluster
-masters, multi-threaded slaves folding into reduction objects -- and the
-three live engines (threaded, actor, process) are three *transports* for
-that protocol, not three protocols.  This module is the protocol made
-code, factored so each engine contributes only its control plane:
+masters, multi-threaded slaves folding into reduction objects -- and
+the repo runs it over two transports: the in-process slave fleet of
+:class:`~repro.service.BurstingService` (which
+:class:`~repro.runtime.engine.ThreadedEngine` runs on) and the
+:class:`~repro.runtime.process_engine.ProcessEngine`'s worker
+processes.  This module holds what they share:
 
 * :class:`EngineOptions` -- the frozen, validated configuration surface
-  shared by every engine, the session, the driver, and the CLI.  One
-  validation path (cluster-name uniqueness, crash-plan targets,
-  index-vs-stores coverage) replaces the per-engine copies.
+  shared by every engine, the service, the session, the driver, and the
+  CLI.  One validation path (cluster-name uniqueness, crash-plan
+  targets, index-vs-stores coverage) replaces per-engine copies.
 * :class:`MasterPort` -- the small protocol a slave drives to acquire
-  and complete jobs.  The lock-based :class:`LockMaster` (threaded and
-  process engines) and the channel-based master actor implement it; the
-  port owns drain-awareness, so an empty refill is never latched as
-  "done" while requeue-able jobs are outstanding.
-* :class:`SlaveRuntime` -- the per-worker loop: synchronous and
-  pipelined-prefetch fetch paths, decode/fold with group iteration, the
-  full :class:`WorkerStats` accounting (retrieval/decode/overlap/stall/
-  cache/prefetch/stolen/recovered), crash injection, and
-  requeue-and-preserve-robj failure containment.  Every engine that
-  executes folds in-process runs exactly this loop; the process engine's
-  feeder reuses its fetch-accounting steps across the process boundary.
+  and complete jobs.  The service's per-cluster master and the process
+  engine's :class:`LockMaster` implement it; the port owns
+  drain-awareness, so an empty refill is never latched as "done" while
+  requeue-able jobs are outstanding.
+* :func:`account_fetch_info` / :func:`account_overlap` -- the fetch
+  accounting both the fleet slave and the process engine's feeders
+  apply to :class:`WorkerStats`.
 * :func:`finalize_run` -- the shared run epilogue: per-cluster combine,
   serialized reduction-object shipping, fetcher fault/autotune rollup
   into :class:`ClusterStats`, and idle/sync accounting.
-
-Sector/Sphere-style data clouds take the same shape -- one slave runtime
-with pluggable transport -- and fault-handling work (coded/redundant
-execution) likewise assumes recovery lives in a shared execution core.
-Consolidating here means prefetching, chunk caching, retries, and
-worker-crash containment land once and every engine has them *by
-construction*.
 """
 
 from __future__ import annotations
@@ -41,12 +32,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
-from repro.core.api import GeneralizedReductionSpec, supports_batch_fold
+from repro.core.api import GeneralizedReductionSpec
 from repro.core.reduction_object import ReductionObject
 from repro.core.serialization import deserialize_robj, serialize_robj
 from repro.data.index import DataIndex
 from repro.data.redundancy import normalize_stripe
-from repro.data.units import iter_unit_groups
 from repro.runtime.jobs import Job, LocalJobPool
 from repro.runtime.pushdown import normalize_pushdown
 from repro.runtime.scheduler import HeadScheduler
@@ -54,14 +44,12 @@ from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 from repro.storage.autotune import AimdAutotuner, AutotuneParams
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
-from repro.storage.faults import WorkerCrash
 from repro.storage.health import BreakerPolicy, HealthRegistry, HedgePolicy
-from repro.storage.retry import RetryExhausted, RetryPolicy
+from repro.storage.retry import RetryPolicy
 from repro.storage.transfer import (
     DEFAULT_MIN_PART_NBYTES,
     FetchInfo,
     ParallelFetcher,
-    PrefetchHandle,
 )
 
 __all__ = [
@@ -71,12 +59,10 @@ __all__ = [
     "EngineBase",
     "MasterPort",
     "LockMaster",
-    "SlaveRuntime",
     "account_fetch_info",
     "account_overlap",
     "make_cluster_fetchers",
     "rollup_fetcher_stats",
-    "finalize_timing",
     "finalize_run",
 ]
 
@@ -332,7 +318,8 @@ def make_cluster_fetchers(
     With ``adaptive_fetch`` every (cluster, location) path gets its own
     AIMD autotuner replacing the fixed ``retrieval_threads`` fan-out --
     the paths differ wildly (local NIC vs WAN vs throttled S3), so each
-    learns its own knee.  Shared by all three live engines.
+    learns its own knee.  Shared by the service fleet and the process
+    engine.
 
     Each cluster's fetchers are wired as *siblings* of one another, so a
     chunk carrying replica sources routes each source to the fetcher
@@ -367,10 +354,10 @@ def make_cluster_fetchers(
 class MasterPort(Protocol):
     """Job-acquisition surface a slave drives, whatever the transport.
 
-    The port hides how a cluster's master talks to the head -- a lock
-    around the shared scheduler (:class:`LockMaster`), typed messages
-    over channels (the actor engine's master), or the process engine's
-    in-parent feeder.  Drain-awareness is part of the contract: an empty
+    The port hides how a cluster's master talks to the head -- the
+    service's multi-run head lock, or a lock around one run's scheduler
+    (:class:`LockMaster`, driven by the process engine's in-parent
+    feeders).  Drain-awareness is part of the contract: an empty
     refill must NOT be treated as end-of-run while the head still has
     outstanding jobs, because a crashed worker may requeue one.
     """
@@ -405,10 +392,9 @@ class MasterPort(Protocol):
 class LockMaster:
     """Cluster-local job pool that refills from the head through a lock.
 
-    The :class:`MasterPort` implementation shared by the threaded and
-    process engines: the head scheduler is invoked directly under a
-    shared lock, with channel latency modelled by sleeping the
-    cluster's master <-> head round-trip.
+    The process engine's :class:`MasterPort`: the head scheduler is
+    invoked directly under a shared lock, with channel latency modelled
+    by sleeping the cluster's master <-> head round-trip.
 
     A master never *latches* an empty refill as "done": while the head
     still has outstanding jobs, one of them may yet be requeued by a
@@ -555,7 +541,7 @@ def account_overlap(
     processing (``overlap_s``); one the worker had to wait for is a
     stall (``retrieval_s``).  Used by the process engine's feeder,
     whose pipelining happens across the process boundary rather than
-    through a :class:`PrefetchHandle`.
+    through a :class:`~repro.storage.transfer.PrefetchHandle`.
     """
     if overlapped:
         wstats.overlap_s += fetch_s
@@ -564,268 +550,6 @@ def account_overlap(
         wstats.retrieval_s += fetch_s
         if prefetching:
             wstats.prefetch_misses += 1
-
-
-class SlaveRuntime:
-    """The per-worker loop, identical for every in-process engine.
-
-    Pulls jobs through a :class:`MasterPort`, fetches chunk bytes
-    (synchronously, or double-buffered when ``options.prefetch``),
-    decodes and folds unit groups into this worker's reduction object,
-    and accounts every second and byte in :class:`WorkerStats`.
-
-    Fault semantics are part of the loop, not the engine: the
-    crash-injection plan raises :class:`WorkerCrash` at the configured
-    job count, and both injected crashes and retry-exhausted fetches are
-    *contained* -- the worker's in-flight jobs (current and
-    reserved-next) go back to the head through the port, its partially
-    folded reduction object is preserved (it holds exactly the jobs it
-    completed, so folding it plus re-executing the requeued jobs yields
-    each job exactly once), and the run continues on the survivors.
-    Non-recoverable errors are appended to ``errors`` and fail the whole
-    run fast via the shared stop event.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        cluster: ClusterConfig,
-        port: MasterPort,
-        spec: GeneralizedReductionSpec,
-        index: DataIndex,
-        group_units: int,
-        fetchers: dict[str, ParallelFetcher],
-        wstats: WorkerStats,
-        robjs_out: list[ReductionObject],
-        options: EngineOptions,
-        t_start: float,
-        errors: list[BaseException],
-        stop: threading.Event,
-    ) -> None:
-        self.name = name
-        self.cluster = cluster
-        self.port = port
-        self.spec = spec
-        self.index = index
-        self.group_units = group_units
-        self.fetchers = fetchers
-        self.wstats = wstats
-        self.robjs_out = robjs_out
-        self.options = options
-        self.t_start = t_start
-        self.errors = errors
-        self.stop = stop
-        self.crash_after = options.crash_plan.get(name)
-        self._batch_fold = options.batch_fold and (
-            spec is not None and supports_batch_fold(spec)
-        )
-        self._jobs_done = 0
-        self._robj: ReductionObject | None = None
-
-    # -- per-run context hooks -----------------------------------------------
-    #
-    # The base runtime serves exactly one run: one spec, one fetcher
-    # map, one reduction object per worker.  A multi-run slave (the
-    # bursting service's shared fleet) overrides these hooks to resolve
-    # the context from the job's ``run_id`` instead, while the loop,
-    # accounting, and containment logic stay shared.
-
-    def _open_run(self) -> None:
-        """Prepare per-run worker state at loop entry."""
-        self._robj = self.spec.create_reduction_object()
-
-    def _robj_for(self, job: Job) -> ReductionObject:
-        """The reduction object ``job`` folds into."""
-        del job
-        assert self._robj is not None
-        return self._robj
-
-    def _fetchers_for(self, job: Job) -> dict[str, ParallelFetcher]:
-        """The fetcher map serving ``job``'s run."""
-        del job
-        return self.fetchers
-
-    def _emit_robjs(self) -> None:
-        """Publish this worker's reduction object(s) at loop exit."""
-        if self._robj is not None:
-            self.robjs_out.append(self._robj)
-
-    def _before_complete(self, job: Job) -> None:
-        """Per-job hook invoked just before the port learns of completion."""
-
-    def _mark_failed(self, inflight: list[Job | None]) -> None:
-        """Record this worker's death in the stats it was feeding."""
-        del inflight
-        self.wstats.failed = True
-        self.wstats.finished_at = time.monotonic() - self.t_start
-
-    def _on_fatal(
-        self,
-        exc: BaseException,
-        inflight: list[Job | None],
-        pending: PrefetchHandle | None,
-    ) -> None:
-        """Handle a non-recoverable error (fail the whole run fast)."""
-        del inflight, pending
-        self.errors.append(exc)
-        self.stop.set()  # fail fast: abort every other worker promptly
-
-    # -- steps ---------------------------------------------------------------
-
-    def _maybe_crash(self) -> None:
-        if self.crash_after is not None and self._jobs_done >= self.crash_after:
-            raise WorkerCrash(
-                f"injected crash in {self.name} after {self._jobs_done} jobs"
-            )
-
-    def _fetch_now(self, job: Job) -> bytes:
-        """Synchronous fetch of one job's bytes, fully accounted as stall."""
-        t0 = time.monotonic()
-        raw, info = self._fetchers_for(job)[job.location].fetch_chunk(job.chunk)
-        self.wstats.retrieval_s += time.monotonic() - t0 - info.decode_s
-        account_fetch_info(self.wstats, info)
-        return raw
-
-    def _await_prefetch(self, pending: PrefetchHandle, job: Job) -> bytes:
-        """Collect an in-flight prefetch, splitting stall from overlap."""
-        del job  # multi-run slaves switch accounting context on it
-        ready = pending.done()
-        t_need = time.monotonic()
-        raw = pending.result()
-        stall = time.monotonic() - t_need
-        w = self.wstats
-        w.retrieval_s += stall
-        w.overlap_s += max(0.0, pending.fetch_s - stall)
-        account_fetch_info(w, pending.info)
-        if ready:
-            w.prefetch_hits += 1
-        else:
-            w.prefetch_misses += 1
-        return raw
-
-    def _process(self, job: Job, raw: bytes) -> None:
-        """Decode, reduce, and complete one job.
-
-        The decode is a zero-copy ``np.frombuffer`` view over the fetch
-        (or cache) buffer; the fold is one ``local_reduction_batch``
-        call over the whole chunk when the spec provides it (and
-        ``options.batch_fold`` allows), else the per-unit-group loop.
-        """
-        robj = self._robj_for(job)
-        if self.options.verify_chunks:
-            from repro.data.integrity import verify_chunk_bytes
-
-            verify_chunk_bytes(job.chunk, raw)
-        t0 = time.monotonic()
-        units = self.index.fmt.decode(raw)
-        t1 = time.monotonic()
-        if self._batch_fold:
-            self.spec.local_reduction_batch(robj, units)
-            n_folds = 1
-        else:
-            n_folds = 0
-            for group in iter_unit_groups(units, self.group_units):
-                self.spec.local_reduction(robj, group)
-                n_folds += 1
-        t2 = time.monotonic()
-        elapsed = t2 - t0
-        w = self.wstats
-        w.processing_s += elapsed
-        w.fold_s += t2 - t1
-        w.bytes_folded += units.nbytes
-        w.n_fold_calls += n_folds
-        w.jobs_processed += 1
-        if job.location != self.cluster.location:
-            w.jobs_stolen += 1
-        self._jobs_done += 1
-        self._before_complete(job)
-        if self.port.complete(job):
-            # This execution replaced one lost to a failed worker; its
-            # compute time is the recovery overhead (the re-fetch is in
-            # retrieval_s like any other fetch).
-            w.jobs_recovered += 1
-            w.recovery_s += elapsed
-
-    def _contain_failure(
-        self,
-        inflight: list[Job | None],
-        pending: PrefetchHandle | None,
-    ) -> None:
-        """Absorb this worker's death without aborting the run.
-
-        The worker's in-flight jobs (current and reserved-next) return
-        to the head for reassignment; if it was its cluster's last
-        worker, the master's pooled jobs go back too.  The partially
-        folded reduction object is preserved.
-        """
-        if pending is not None:
-            pending.cancel()
-        requeue: list[Job] = []
-        for j in inflight:
-            if j is not None and all(j.job_id != q.job_id for q in requeue):
-                requeue.append(j)
-        requeue.extend(self.port.worker_died())
-        self.port.requeue(requeue)
-        self._mark_failed(inflight)
-        self._emit_robjs()
-
-    # -- the loop ------------------------------------------------------------
-
-    def run(self) -> None:
-        """Process jobs until the run drains, containing recoverable faults."""
-        pending: PrefetchHandle | None = None
-        # Containment bookkeeping: the job being fetched/processed and
-        # the reserved-next job whose prefetch is in flight.  Both are
-        # outstanding at the head until completed, so both must be
-        # requeued if this worker dies.
-        cur_job: Job | None = None
-        next_job: Job | None = None
-        self._open_run()
-        try:
-            while not self.stop.is_set():
-                cur_job = self.port.get_job()
-                if cur_job is None:
-                    break
-                if self.options.prefetch:
-                    # Pipelined path: the first fetch is unavoidably
-                    # serial; every later fetch overlaps the previous
-                    # job's compute.  When the reserve runs dry the
-                    # outer loop re-checks the head, so jobs requeued by
-                    # a late failure are still picked up.
-                    self._maybe_crash()
-                    raw = self._fetch_now(cur_job)
-                    while cur_job is not None and not self.stop.is_set():
-                        self._maybe_crash()
-                        next_job = self.port.reserve_next()
-                        if next_job is not None:
-                            pending = self._fetchers_for(next_job)[
-                                next_job.location
-                            ].fetch_chunk_async(next_job.chunk)
-                        self._process(cur_job, raw)
-                        cur_job = None
-                        if next_job is None:
-                            break
-                        raw = self._await_prefetch(pending, next_job)
-                        pending = None
-                        cur_job, next_job = next_job, None
-                else:
-                    # Serial path: fetch then process, one job at a time.
-                    self._maybe_crash()
-                    raw = self._fetch_now(cur_job)
-                    self._process(cur_job, raw)
-                    cur_job = None
-            self.wstats.finished_at = time.monotonic() - self.t_start
-            self._emit_robjs()
-        except (WorkerCrash, RetryExhausted):
-            # Recoverable: this worker is lost, the run is not.
-            self._contain_failure([cur_job, next_job], pending)
-            pending = None
-        except BaseException as exc:  # surfaced by the engine's run()
-            self._on_fatal(exc, [cur_job, next_job], pending)
-        finally:
-            if pending is not None:
-                pending.cancel()
 
 
 # -- shared run epilogue ------------------------------------------------------
@@ -852,24 +576,6 @@ def rollup_fetcher_stats(
         cstats.fetch_latencies.extend(f.fetch_latencies)
         if f.autotune is not None and f.autotune.n_samples:
             cstats.autotune[loc] = f.autotune.snapshot()
-
-
-def finalize_timing(stats: RunStats) -> None:
-    """Fill idle/sync accounting from per-worker finish times.
-
-    Requires ``stats.total_s`` and each cluster's ``finished_at`` to be
-    set; computes ``processing_end_s``, per-cluster ``idle_s`` (waiting
-    for the other cluster, unable to steal), and per-worker ``sync_s``
-    (barrier wait plus global-reduction exchange).
-    """
-    processing_end = max(
-        (c.finished_at for c in stats.clusters.values()), default=0.0
-    )
-    stats.processing_end_s = processing_end
-    for cstats in stats.clusters.values():
-        cstats.idle_s = max(0.0, processing_end - cstats.finished_at)
-        for w in cstats.workers:
-            w.sync_s = max(0.0, stats.total_s - w.finished_at)
 
 
 def finalize_run(
@@ -937,5 +643,15 @@ def finalize_run(
 
     stats.total_s = t_end - t_start
     stats.global_reduction_s = t_end - t_reduce0
-    finalize_timing(stats)
+    # Idle/sync accounting: a cluster idles from its last worker's
+    # finish until the slowest cluster's (waiting for the other site,
+    # unable to steal); a worker syncs from its finish to the run's end
+    # (barrier wait plus global-reduction exchange).
+    stats.processing_end_s = max(
+        (c.finished_at for c in stats.clusters.values()), default=0.0
+    )
+    for cstats in stats.clusters.values():
+        cstats.idle_s = max(0.0, stats.processing_end_s - cstats.finished_at)
+        for w in cstats.workers:
+            w.sync_s = max(0.0, stats.total_s - w.finished_at)
     return RunResult(spec.finalize(final), stats, final)

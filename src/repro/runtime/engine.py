@@ -2,17 +2,15 @@
 
 Runs the complete head/master/slave protocol with actual data movement
 on one machine: worker threads pull jobs through their master from the
-shared head scheduler, fetch chunk byte ranges (multi-threaded) from
-whichever store holds them, fold unit groups into per-worker reduction
-objects, and the head performs the final global reduction.
+head scheduler, fetch chunk byte ranges (multi-threaded) from whichever
+store holds them, fold unit groups into per-worker reduction objects,
+and the head performs the final global reduction.
 
-The per-worker loop itself -- synchronous and pipelined-prefetch fetch
-paths, decode/fold, stats accounting, crash injection and containment --
-lives in :class:`repro.runtime.core.SlaveRuntime` and is shared with the
-other engines; this module contributes only the threaded control plane:
-per-cluster :class:`LockMaster` instances refilling worker threads from
-the shared head scheduler under a lock, and the shared
-:func:`finalize_run` epilogue.
+The engine owns no control plane of its own: :meth:`ThreadedEngine.run`
+submits one job to a fresh single-job
+:class:`~repro.service.BurstingService` and returns its result, so the
+service's slave fleet (:class:`~repro.service.slave.ServiceSlave`) is
+the one in-process implementation of the protocol.
 
 Two data-pipeline optimizations sit on the fetch path:
 
@@ -25,7 +23,8 @@ Two data-pipeline optimizations sit on the fetch path:
   the same remote chunks pay the retrieval cost once.
 
 Both are result-invariant -- a worker folds exactly the same unit groups
-in the same order -- and both are accounted in :class:`WorkerStats`
+in the same order -- and both are accounted in
+:class:`~repro.runtime.stats.WorkerStats`
 (``overlap_s``, ``prefetch_hits``, ``cache_hits``).
 
 The engine is fault tolerant on the WAN fetch path:
@@ -41,7 +40,7 @@ The engine is fault tolerant on the WAN fetch path:
   every job it *completed* -- is preserved and included in the global
   reduction (the cheap robj-checkpoint recovery the Generalized
   Reduction model affords).  Non-retryable errors (a permanent fault,
-  a bug in user code) still fail the whole run fast.
+  a bug in user code) still fail the run.
 
 This engine demonstrates functional correctness of the middleware at any
 scale that fits in memory; the discrete-event simulator in
@@ -51,26 +50,14 @@ for performance experiments.
 
 from __future__ import annotations
 
-import threading
-import time
-
 from repro.core.api import GeneralizedReductionSpec
-from repro.core.reduction_object import ReductionObject
 from repro.data.index import DataIndex
-from repro.data.units import units_per_group
 from repro.runtime.core import (
     ClusterConfig,
     EngineBase,
-    EngineOptions,
-    LockMaster,
     RunResult,
-    SlaveRuntime,
-    finalize_run,
     make_cluster_fetchers,
 )
-from repro.runtime.pushdown import plan_jobs
-from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
-from repro.storage.transfer import ParallelFetcher
 
 __all__ = [
     "ClusterConfig",
@@ -79,94 +66,12 @@ __all__ = [
     "make_cluster_fetchers",
 ]
 
-# Backwards-compatible alias: the lock-based master moved to the shared
-# core (the process engine and tests import it from here).
-_Master = LockMaster
-
 
 class ThreadedEngine(EngineBase):
     """Multi-cluster, multi-worker threaded executor."""
 
     def run(self, spec: GeneralizedReductionSpec, index: DataIndex) -> RunResult:
         """Execute ``spec`` over the dataset described by ``index``."""
-        EngineOptions.validate_index(index, self.stores)
-        opts = self.options
-        # Metadata-first retrieval: apply the spec's pushdown contract
-        # (prune + prioritize via index ChunkStats) before the job pool
-        # exists -- pruned chunks are never fetched, decoded, or folded.
-        plan = plan_jobs(index, spec, opts.pushdown, stores=self.stores)
-        scheduler = opts.scheduler_factory(plan.jobs)
-        scheduler_lock = threading.Lock()
-        group_units = units_per_group(opts.group_nbytes, index.fmt.unit_nbytes)
-        health = self.make_health()
-        if health is not None and hasattr(scheduler, "attach_health"):
-            scheduler.attach_health(health.open_locations)
+        from repro.service.service import run_one
 
-        t_start = time.monotonic()
-        stats = RunStats()
-        plan.apply_to(stats)
-        cluster_robjs: dict[str, list[ReductionObject]] = {}
-        threads: list[threading.Thread] = []
-        fetchers: dict[str, dict[str, ParallelFetcher]] = {}
-        errors: list[BaseException] = []
-        stop = threading.Event()
-
-        for cluster in self.clusters:
-            master = LockMaster(
-                cluster, scheduler, scheduler_lock, opts.batch_size,
-                stop=stop, n_workers=cluster.n_workers,
-            )
-            cstats = ClusterStats(cluster.name, cluster.location)
-            stats.clusters[cluster.name] = cstats
-            cluster_robjs[cluster.name] = []
-            fetchers[cluster.name] = make_cluster_fetchers(
-                self.stores,
-                cluster,
-                cache=opts.chunk_cache,
-                prefetch_workers=max(1, cluster.n_workers),
-                retry=opts.retry,
-                adaptive_fetch=opts.adaptive_fetch,
-                min_part_nbytes=opts.min_part_nbytes,
-                autotune_params=opts.autotune_params,
-                health=health,
-                hedge=opts.hedge,
-            )
-            for wid in range(cluster.n_workers):
-                wstats = WorkerStats()
-                cstats.workers.append(wstats)
-                runtime = SlaveRuntime(
-                    f"{cluster.name}-w{wid}",
-                    cluster=cluster,
-                    port=master,
-                    spec=spec,
-                    index=index,
-                    group_units=group_units,
-                    fetchers=fetchers[cluster.name],
-                    wstats=wstats,
-                    robjs_out=cluster_robjs[cluster.name],
-                    options=opts,
-                    t_start=t_start,
-                    errors=errors,
-                    stop=stop,
-                )
-                threads.append(
-                    threading.Thread(
-                        target=runtime.run, name=runtime.name, daemon=True
-                    )
-                )
-
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        return finalize_run(
-            spec=spec,
-            clusters=self.clusters,
-            stats=stats,
-            scheduler=scheduler,
-            fetchers=fetchers,
-            cluster_robjs=cluster_robjs,
-            errors=errors,
-            t_start=t_start,
-            health=health,
-        )
+        return run_one(self.clusters, self.stores, self.options, spec, index)

@@ -27,8 +27,8 @@ epilogue -- only the data plane changes:
   a few dozen bytes.
 * **one feeder thread per worker** pulls jobs from the master and keeps
   up to two fetches in flight, so data movement overlaps worker compute
-  (the double-buffered slave of the shared
-  :class:`~repro.runtime.core.SlaveRuntime`, now across a process
+  (the double-buffered fleet slave's pipeline,
+  :class:`~repro.service.slave.ServiceSlave`, now across a process
   boundary -- the feeder shares the core's fetch-accounting helpers).
 * **reduction objects return via pickle protocol-5 out-of-band
   buffers** (:func:`~repro.core.serialization.serialize_robj_oob`):
@@ -567,7 +567,7 @@ class ProcessEngine(EngineBase):
                     # in flight: its inflight jobs are outstanding, and
                     # only this feeder can complete them, so a blocking
                     # wait here would deadlock the tail of the run
-                    # (same contract as the core SlaveRuntime's
+                    # (same contract as the fleet slave's
                     # ``reserve_next``).
                     job = master.get_job(wait=not handle.inflight)
                     if job is None:

@@ -135,8 +135,7 @@ class JobHandle:
         receiving new chunk assignments and resolves as CANCELLED once
         its in-flight chunks drain (their partial reduction state is
         discarded).  Returns False when the job already finished or the
-        backend cannot interrupt it (the process/actor run-per-job
-        backend).
+        backend cannot interrupt it (the process run-per-job backend).
         """
         return bool(self._service._cancel(self.run_id))
 

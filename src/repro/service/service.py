@@ -14,15 +14,22 @@ persistent storage+compute nodes serving many user jobs).
 Ownership split:
 
 * **service-lifetime state** -- clusters, stores, options, chunk cache,
-  health registry, the fleet (`ServiceSlave` threads pulling through a
-  per-cluster :class:`ServiceMaster`), the finalizer thread, and the
-  registry of every run ever submitted;
+  health registry, the fleet (:class:`~repro.service.slave.ServiceSlave`
+  threads pulling through a per-cluster :class:`ServiceMaster`), the
+  finalizer thread, and the registry of every run ever submitted;
 * **per-run state** (one :class:`_RunEntry` per submission) -- the
   tagged job pool and its :class:`HeadScheduler`, per-cluster fetchers,
-  per-(worker, run) reduction objects and ``WorkerStats``, an error
-  list, and the run's ``RunStats``.  A finished run is finalized by the
-  *shared* :func:`~repro.runtime.core.finalize_run` epilogue, so
-  per-run stats have full parity with single-run engine results.
+  one ``WorkerStats`` row per fleet worker alive at admission, the
+  per-(worker, run) reduction objects (created on a worker's first job
+  of the run), an error list, and the run's ``RunStats``.  A finished
+  run is finalized by the shared
+  :func:`~repro.runtime.core.finalize_run` epilogue, the same one the
+  process engine uses.
+
+This fleet is the only in-process control plane: a one-shot
+:class:`~repro.runtime.engine.ThreadedEngine` run or
+:class:`~repro.bursting.session.BurstingSession` pass is one job on a
+fresh single-job service (:func:`run_one`).
 
 Scheduling is two-level: the tenant-aware
 :class:`~repro.service.scheduler.MultiJobScheduler` picks *which run*
@@ -31,12 +38,11 @@ serves a cluster's batch request (weighted fair-share with per-tenant
 run's own :class:`HeadScheduler` picks *which chunks* (locality,
 stealing, pushdown priority -- the paper's policy, unchanged).
 
-The process and actor engines execute each run whole (their transports
-pin worker state to one spec per process/mailbox), so for
-``engine="process"``/``"actor"`` the service runs one engine per
-admitted run on a background thread, one engine at a time (forking
-engines from concurrent threads is not fork-safe) -- same
-submit/status/result API, FIFO-in-admission-order execution,
+The process engine executes each run whole (its worker processes are
+forked with one spec each), so for ``engine="process"`` the service
+runs one engine per admitted run on a background thread, one engine at
+a time (forking engines from concurrent threads is not fork-safe) --
+same submit/status/result API, FIFO-in-admission-order execution,
 chunk-level interleaving only on the threaded fleet.
 """
 
@@ -58,7 +64,7 @@ from repro.runtime.core import (
     EngineBase,
     EngineOptions,
     MasterPort,
-    SlaveRuntime,
+    RunResult,
     finalize_run,
     make_cluster_fetchers,
     rollup_fetcher_stats,
@@ -69,10 +75,11 @@ from repro.runtime.scheduler import HeadScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 from repro.service.registry import JobCancelledError, JobHandle, JobState
 from repro.service.scheduler import MultiJobScheduler, TenantConfig
+from repro.service.slave import ServiceSlave, _WorkerCtx
 from repro.storage.base import StorageBackend
-from repro.storage.transfer import ParallelFetcher, PrefetchHandle
+from repro.storage.transfer import ParallelFetcher
 
-__all__ = ["BurstingService", "ServiceMaster", "ServiceSlave"]
+__all__ = ["BurstingService", "ServiceMaster", "ServiceSlave", "run_one"]
 
 #: Process-wide guard for the run-per-job backends: the process engine
 #: forks, and forking concurrently from several run threads can deadlock
@@ -96,6 +103,8 @@ class _RunEntry:
     group_units: int
     batch_fold: bool
     fetchers: dict[str, dict[str, ParallelFetcher]] = field(default_factory=dict)
+    #: Worker name -> its stats row (every fleet worker alive at admission).
+    rows: dict[str, WorkerStats] = field(default_factory=dict)
     robjs: dict[str, list[ReductionObject]] = field(default_factory=dict)
     errors: list[BaseException] = field(default_factory=list)
     t0: float = 0.0
@@ -105,15 +114,6 @@ class _RunEntry:
     #: True while the fleet should keep executing this run's chunks.
     live: bool = False
     finalize_enqueued: bool = False
-
-
-@dataclass
-class _WorkerCtx:
-    """One worker's per-run fold context (reduction object + stats)."""
-
-    entry: _RunEntry
-    wstats: WorkerStats
-    robj: ReductionObject
 
 
 class ServiceMaster(MasterPort):
@@ -203,128 +203,6 @@ class ServiceMaster(MasterPort):
         return drained
 
 
-class ServiceSlave(SlaveRuntime):
-    """A fleet worker folding into whichever run its assignment names.
-
-    The loop, fetch paths, accounting, and crash containment are the
-    shared :class:`SlaveRuntime`; this subclass only swaps the per-run
-    context hooks: the job's ``run_id`` resolves the spec, index,
-    fetchers, per-(worker, run) ``WorkerStats``, and reduction object.
-    Reduction objects are registered with their run at creation, so a
-    crashed worker's partial folds are preserved exactly as in the
-    single-run engines.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        service: "BurstingService",
-        cluster: ClusterConfig,
-        port: MasterPort,
-        options: EngineOptions,
-        t_start: float,
-        stop: threading.Event,
-    ) -> None:
-        super().__init__(
-            name,
-            cluster=cluster,
-            port=port,
-            spec=None,  # resolved per assignment from the run registry
-            index=None,
-            group_units=1,
-            fetchers={},
-            wstats=WorkerStats(),  # scratch; swapped per assignment
-            robjs_out=[],
-            options=options,
-            t_start=t_start,
-            errors=service._fleet_errors,
-            stop=stop,
-        )
-        self.service = service
-        self._ctxs: dict[str, _WorkerCtx] = {}
-        self._resume = False
-
-    def _ctx(self, job: Job) -> _WorkerCtx:
-        """Switch this worker's fold context to ``job``'s run."""
-        ctx = self._ctxs.get(job.run_id)
-        if ctx is None:
-            ctx = self.service._open_worker_ctx(job.run_id, self.cluster.name)
-            self._ctxs[job.run_id] = ctx
-        entry = ctx.entry
-        self.wstats = ctx.wstats
-        self.spec = entry.spec
-        self.index = entry.index
-        self.group_units = entry.group_units
-        self._batch_fold = entry.batch_fold
-        return ctx
-
-    # -- per-run context hooks ----------------------------------------------
-
-    def _open_run(self) -> None:
-        pass  # reduction objects are created per (worker, run) on demand
-
-    def _emit_robjs(self) -> None:
-        pass  # robjs are registered with their run at creation
-
-    def _robj_for(self, job: Job) -> ReductionObject:
-        return self._ctxs[job.run_id].robj
-
-    def _fetchers_for(self, job: Job) -> dict[str, ParallelFetcher]:
-        return self._ctx(job).entry.fetchers[self.cluster.name]
-
-    def _await_prefetch(self, pending: PrefetchHandle, job: Job) -> bytes:
-        self._ctx(job)  # account the collect into the job's run
-        return super()._await_prefetch(pending, job)
-
-    def _process(self, job: Job, raw: bytes) -> None:
-        self._ctx(job)
-        try:
-            super()._process(job, raw)
-        except Exception as exc:
-            # A fold/decode/verify error is fatal for *that run only*:
-            # the fleet keeps serving everyone else.
-            self.service._fail_worker_jobs(exc, [job])
-
-    def _before_complete(self, job: Job) -> None:
-        # Stamp the per-run finish time before the head can observe the
-        # completion (the finalizer may run the instant complete lands).
-        ctx = self._ctxs[job.run_id]
-        ctx.wstats.finished_at = time.monotonic() - ctx.entry.t0
-
-    def _mark_failed(self, inflight: list[Job | None]) -> None:
-        # Attribute this worker's death to the run(s) whose assignments
-        # it was holding; close out its clock in every run it served.
-        for j in inflight:
-            if j is not None:
-                self._ctx(j).wstats.failed = True
-        now = time.monotonic()
-        for ctx in self._ctxs.values():
-            ctx.wstats.finished_at = now - ctx.entry.t0
-
-    def _on_fatal(
-        self,
-        exc: BaseException,
-        inflight: list[Job | None],
-        pending: PrefetchHandle | None,
-    ) -> None:
-        del pending  # cancelled by the caller's ``finally``
-        self.service._fail_worker_jobs(
-            exc, [j for j in inflight if j is not None]
-        )
-        self._resume = True  # the worker survives; only the run failed
-
-    def run(self) -> None:
-        # A fatal error fails one run, not the worker: re-enter the
-        # shared loop after per-run failure handling.  Crash containment
-        # (WorkerCrash/RetryExhausted) does NOT set the resume flag --
-        # a contained worker stays dead, exactly as in the engines.
-        self._resume = True
-        while self._resume:
-            self._resume = False
-            super().run()
-
-
 class BurstingService(EngineBase):
     """Long-lived multi-tenant head serving concurrent jobs.
 
@@ -334,8 +212,8 @@ class BurstingService(EngineBase):
     global ``max_concurrent_runs`` admission cap.  ``engine`` selects
     the execution backend: ``"threaded"`` (default) interleaves all
     admitted runs chunk-by-chunk over one persistent slave fleet;
-    ``"process"``/``"actor"`` execute each admitted run whole on its own
-    engine (admission-level sharing).
+    ``"process"`` executes each admitted run whole on its own engine
+    (admission-level sharing).
 
     Thread-safe: ``submit``/``status``/``cancel``/``shutdown`` may be
     called from any thread; :class:`JobHandle` results are awaitable
@@ -355,12 +233,9 @@ class BurstingService(EngineBase):
         **kwargs: Any,
     ) -> None:
         super().__init__(clusters, stores, options=options, **kwargs)
-        from repro.runtime import ENGINES
+        from repro.runtime import engine_class
 
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (choose from {sorted(ENGINES)})"
-            )
+        engine_class(engine)  # rejects unknown names
         if max_concurrent_runs is not None and max_concurrent_runs < 1:
             raise ValueError("max_concurrent_runs must be >= 1 or None")
         self.engine_name = engine
@@ -383,12 +258,11 @@ class BurstingService(EngineBase):
         # Fleet state (threaded backend).
         self._fleet_started = False
         self._threads: list[threading.Thread] = []
-        self._masters: dict[str, ServiceMaster] = {}
+        self._slaves: list[ServiceSlave] = []
         self._alive_workers = 0
         self._finalize_q: queue.Queue[_RunEntry | None] = queue.Queue()
         self._finalizer: threading.Thread | None = None
-        self._fleet_errors: list[BaseException] = []
-        # Run-per-job state (process/actor backends).
+        # Run-per-job state (process backend).
         self._run_threads: list[threading.Thread] = []
 
     # -- submission ----------------------------------------------------------
@@ -487,6 +361,10 @@ class BurstingService(EngineBase):
         entry.handle._set_running()
         if self.engine_name == "threaded":
             self._ensure_fleet_locked()
+            for slave in self._slaves:
+                if slave.alive:
+                    row = entry.rows[slave.name] = WorkerStats()
+                    entry.stats.clusters[slave.cluster.name].workers.append(row)
             opts = self.options
             for cluster in self.clusters:
                 entry.fetchers[cluster.name] = make_cluster_fetchers(
@@ -522,7 +400,6 @@ class BurstingService(EngineBase):
             master = ServiceMaster(
                 self, cluster, self.options.batch_size, cluster.n_workers
             )
-            self._masters[cluster.name] = master
             for wid in range(cluster.n_workers):
                 slave = ServiceSlave(
                     f"{cluster.name}-w{wid}",
@@ -530,9 +407,9 @@ class BurstingService(EngineBase):
                     cluster=cluster,
                     port=master,
                     options=self.options,
-                    t_start=self._t0,
                     stop=self._stop,
                 )
+                self._slaves.append(slave)
                 self._threads.append(
                     threading.Thread(
                         target=slave.run, name=f"svc-{slave.name}", daemon=True
@@ -546,7 +423,7 @@ class BurstingService(EngineBase):
         )
         self._finalizer.start()
 
-    # -- run-per-job backend (process / actor) -------------------------------
+    # -- run-per-job backend (process) ----------------------------------------
 
     def _run_via_engine(self, entry: _RunEntry) -> None:
         from repro.runtime import make_engine
@@ -669,20 +546,19 @@ class BurstingService(EngineBase):
                 self._pending.clear()
             self._cond.notify_all()
 
-    def _open_worker_ctx(self, run_id: str, cluster_name: str) -> _WorkerCtx:
+    def _open_worker_ctx(
+        self, run_id: str, worker: str, cluster: str
+    ) -> _WorkerCtx:
         """Create one worker's fold context for ``run_id``.
 
-        The reduction object and ``WorkerStats`` are registered with the
-        run immediately, so a later worker crash preserves the partial
-        folds exactly as the single-run engines do.
+        The reduction object is registered with the run immediately, so
+        a later worker crash preserves the partial folds.
         """
         with self._cond:
             entry = self._runs[run_id]
-            wstats = WorkerStats()
-            entry.stats.clusters[cluster_name].workers.append(wstats)
             robj = entry.spec.create_reduction_object()
-            entry.robjs[cluster_name].append(robj)
-            return _WorkerCtx(entry, wstats, robj)
+            entry.robjs[cluster].append(robj)
+            return _WorkerCtx(entry, entry.rows[worker], robj)
 
     # -- finalization --------------------------------------------------------
 
@@ -754,6 +630,12 @@ class BurstingService(EngineBase):
                 )
                 entry.handle._resolve(JobState.FAILED, exc=exc)
             return
+        # A worker that served no chunk waited for the run to drain, as
+        # every worker does: its clock ends with the last completion.
+        drained_at = max((w.finished_at for w in entry.rows.values()), default=0.0)
+        for w in entry.rows.values():
+            if w.jobs_processed == 0 and not w.failed:
+                w.finished_at = drained_at
         try:
             rr = finalize_run(
                 spec=entry.spec,
@@ -935,3 +817,26 @@ class BurstingService(EngineBase):
                 }
                 for name, cfg in self._tenants.items()
             }
+
+
+def run_one(
+    clusters: list[ClusterConfig],
+    stores: dict[str, StorageBackend],
+    options: EngineOptions,
+    spec: GeneralizedReductionSpec,
+    index: DataIndex,
+    *,
+    engine: str = "threaded",
+) -> RunResult:
+    """Run ``spec`` as the only job of a fresh service, then shut it down.
+
+    The one-shot path behind :class:`~repro.runtime.engine.ThreadedEngine`
+    and :class:`~repro.bursting.session.BurstingSession`: the fleet, the
+    health registry, and the crash plan's job counts all start fresh, so
+    one call is one self-contained run.
+    """
+    service = BurstingService(clusters, stores, engine=engine, options=options)
+    try:
+        return service.submit(spec, index).result()
+    finally:
+        service.shutdown()

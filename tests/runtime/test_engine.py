@@ -77,6 +77,30 @@ class TestBursting:
         for c in rr.stats.clusters.values():
             assert c.robj_nbytes > 0
 
+    def test_stats_populated(self, points, stores):
+        clusters = [
+            ClusterConfig("local", "local", n_workers=2),
+            ClusterConfig("cloud", "cloud", n_workers=2, link_latency_s=0.002),
+        ]
+        idx = split_dataset(points, points_format(4), stores)
+        rr = ThreadedEngine(clusters, stores).run(KnnSpec(np.zeros(4), 3), idx)
+        assert set(rr.stats.clusters) == {"local", "cloud"}
+        for c in rr.stats.clusters.values():
+            assert c.robj_nbytes > 0
+            assert c.n_workers == 2
+        assert rr.stats.total_s > 0
+
+    def test_link_latency_slows_refills(self, points, stores):
+        idx = split_dataset(points, points_format(4), stores, local_frac=1.0)
+        fast = ThreadedEngine(
+            [ClusterConfig("local", "local", 2)], stores, batch_size=1
+        ).run(KnnSpec(np.zeros(4), 3), idx)
+        slow = ThreadedEngine(
+            [ClusterConfig("local", "local", 2, link_latency_s=0.01)],
+            stores, batch_size=1,
+        ).run(KnnSpec(np.zeros(4), 3), idx)
+        assert slow.stats.total_s > fast.stats.total_s
+
     def test_extreme_skew_forces_stealing(self, points, stores):
         # All data in the cloud; the local cluster must steal everything
         # it processes.

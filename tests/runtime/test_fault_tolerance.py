@@ -16,7 +16,7 @@ from repro.bursting.session import BurstingSession
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.data.index import build_index
-from repro.runtime.engine import _Master, ClusterConfig
+from repro.runtime.core import ClusterConfig, LockMaster
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
 from repro.storage.faults import (
@@ -47,7 +47,6 @@ def make_session(points, *, fault_spec=None, retry=None, crash_plan=None,
         # setup path is clean and only the run's fetches see faults.
         faulty = FaultInjectingStore(stores["cloud"], fault_spec)
         session.stores["cloud"] = faulty
-        session.engine.stores["cloud"] = faulty
     return session
 
 
@@ -69,7 +68,7 @@ class TestTransientFaults:
         assert rr.stats.n_retries > 0
         assert rr.stats.n_failed_workers == 0
         assert rr.stats.n_requeued_jobs == 0
-        assert session.engine.stores["cloud"].n_transient > 0
+        assert session.stores["cloud"].n_transient > 0
 
     def test_wordcount_exact_under_faults(self):
         """Integer reduction: exact equality through injected faults,
@@ -84,7 +83,6 @@ class TestTransientFaults:
             stores["cloud"], FaultSpec(transient_p=0.3, seed=17)
         )
         session.stores["cloud"] = faulty
-        session.engine.stores["cloud"] = faulty
         rr = session.run(WordCountSpec())
         assert rr.result == wordcount_exact(tokens)
         assert rr.stats.n_retries > 0
@@ -97,7 +95,7 @@ class TestTransientFaults:
                 retry=FAST_RETRY,
             )
             rr = session.run(KMeansSpec(generate_points(3, 4, seed=81)))
-            store = session.engine.stores["cloud"]
+            store = session.stores["cloud"]
             return (rr.stats.n_retries, rr.stats.bytes_retried,
                     rr.stats.n_errors, store.injection_counts())
 
@@ -114,7 +112,7 @@ class TestPermanentFaults:
         )
         with pytest.raises(PermanentStorageError, match="unreadable"):
             session.run(KMeansSpec(generate_points(3, 4, seed=81)))
-        assert session.engine.stores["cloud"].n_permanent >= 1
+        assert session.stores["cloud"].n_permanent >= 1
 
 
 class TestWorkerCrash:
@@ -186,7 +184,6 @@ class TestWorkerCrash:
             stores["cloud"], FaultSpec(fail_nth=(1, 2))
         )
         session.stores["cloud"] = faulty
-        session.engine.stores["cloud"] = faulty
         rr = session.run(WordCountSpec())
         assert rr.result == wordcount_exact(tokens)
         assert 1 <= rr.stats.n_failed_workers <= 2
@@ -202,7 +199,7 @@ class TestMasterRequeue:
         idx = build_index(tokens_format(), [12] * 2, chunk_units=3)
         scheduler = HeadScheduler(jobs_from_index(idx))
         cluster = ClusterConfig("local", "local", 2)
-        master = _Master(
+        master = LockMaster(
             cluster, scheduler, threading.Lock(), batch_size=4, n_workers=2
         )
         return master, scheduler

@@ -11,7 +11,8 @@ from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
-from repro.runtime.engine import ClusterConfig, ThreadedEngine, _Master
+from repro.runtime.core import LockMaster
+from repro.runtime.engine import ClusterConfig, ThreadedEngine
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
 from repro.storage.cache import ChunkCache
@@ -180,7 +181,7 @@ class TestMasterRefill:
         idx = split_dataset(tokens, tokens_format(), stores, local_frac=1.0)
         latency = 0.15
         cluster = ClusterConfig("local", "local", 2, link_latency_s=latency)
-        master = _Master(
+        master = LockMaster(
             cluster, HeadScheduler(jobs_from_index(idx)), threading.Lock(),
             batch_size=4,
         )

@@ -221,7 +221,7 @@ class TestConfiguration:
 
 
 class TestReplicaBreaker:
-    @pytest.mark.parametrize("engine", ["threaded", "process", "actor"])
+    @pytest.mark.parametrize("engine", ["threaded", "process"])
     def test_open_breaker_stops_fetches_to_dead_replica(self, engine):
         # The cloud store dies after placement; every cloud chunk fails
         # over to its local replica.  Once the cloud breaker opens, no

@@ -20,7 +20,7 @@ from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
 from repro.storage.transfer import ParallelFetcher
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 PLACEMENTS = {"local-only": 1.0, "hybrid": 0.5, "cloud-only": 0.0}
 
 

@@ -144,6 +144,38 @@ class TestLifecycle:
             BurstingService(CLUSTERS, stores, engine="quantum")
 
 
+class TestPerRunWorkerRows:
+    def test_every_fleet_worker_has_a_row(self):
+        """Each admitted run reports every live fleet worker, as a
+        one-shot engine run does -- including workers that served none
+        of its chunks, which are not charged the whole run as sync."""
+        stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
+        toks = generate_tokens(3000, 200, seed=41)
+        spec = WordCountSpec()
+        index = write_dataset(
+            toks, spec.fmt, stores["local"], n_files=3, chunk_units=1000
+        )
+        assert len(index.chunks) == 3
+        clusters = [
+            ClusterConfig("local", "local", 4, 2),
+            ClusterConfig("cloud", "cloud", 4, 2),
+        ]
+        service = BurstingService(clusters, stores)
+        try:
+            rr = service.submit(spec, index).result(timeout=30)
+        finally:
+            service.shutdown()
+        assert rr.result == wordcount_exact(toks)
+        stats = rr.stats
+        assert [c.n_workers for c in stats.clusters.values()] == [4, 4]
+        assert sum(c.jobs_processed for c in stats.clusters.values()) == 3
+        end_wait = stats.total_s - stats.processing_end_s
+        for c in stats.clusters.values():
+            for w in c.workers:
+                if w.jobs_processed == 0:
+                    assert w.sync_s == pytest.approx(end_wait, abs=1e-9)
+
+
 class TestAdmission:
     def test_max_concurrent_runs_queues_fifo(self):
         stores, index, spec, _ = build_env()
