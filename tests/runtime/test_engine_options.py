@@ -9,6 +9,7 @@ from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import points_format, tokens_format
 from repro.runtime.engine import ClusterConfig, ThreadedEngine
 from repro.runtime.scheduler import StaticScheduler
+from repro.storage.s3 import S3Profile, SimulatedS3Store
 
 
 @pytest.fixture
@@ -59,10 +60,14 @@ class TestTuningInvariance:
         assert rr.stats.jobs_stolen == 0
 
     def test_lopsided_worker_counts(self, points, stores, split):
-        # min_part_nbytes=0 keeps split fetches (and their GIL yields)
-        # even for tiny chunks, so the cloud workers reliably start
-        # before the single local worker can drain the whole pool.
-        engine = ThreadedEngine(clusters(local=1, cloud=5), stores, min_part_nbytes=0)
+        # A few milliseconds per GET: with free fetches the single local
+        # worker could fold its whole share before the OS has scheduled
+        # the cloud workers that would steal from it.
+        slow = {
+            loc: SimulatedS3Store(store, S3Profile(request_latency_s=0.005), location=loc)
+            for loc, store in stores.items()
+        }
+        engine = ThreadedEngine(clusters(local=1, cloud=5), slow)
         rr = engine.run(KnnSpec(np.zeros(4), 5), split)
         ref = knn_exact(points, np.zeros(4), 5)
         np.testing.assert_allclose([x[0] for x in rr.result], [r[0] for r in ref])
