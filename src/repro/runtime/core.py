@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Protocol
 
 from repro.core.api import GeneralizedReductionSpec
@@ -40,7 +40,13 @@ from repro.data.redundancy import normalize_stripe
 from repro.runtime.jobs import Job, LocalJobPool
 from repro.runtime.pushdown import normalize_pushdown
 from repro.runtime.scheduler import HeadScheduler
-from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
+from repro.runtime.stats import (
+    COUNTERS,
+    FETCHER_COUNTERS,
+    ClusterStats,
+    RunStats,
+    WorkerStats,
+)
 from repro.storage.autotune import AimdAutotuner, AutotuneParams
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
@@ -93,11 +99,7 @@ class EngineOptions:
 
     Every execution engine accepts every field; the per-engine option
     special-cases that used to live in the session, the driver, and the
-    CLI are gone.  ``start_method`` and ``merge_threads`` only have an
-    effect on the process engine (in-process engines have no start
-    method and use the spec's own global reduction); they are accepted
-    -- and validated -- everywhere so one options object can configure
-    any engine.
+    CLI are gone.
     """
 
     batch_size: int = 4
@@ -137,9 +139,6 @@ class EngineOptions:
     # the identity (the soundness guard -- debug only, spends the bytes
     # pruning saved).
     pushdown: str | bool | None = None
-    # Process-engine transport knobs (no effect on in-process engines).
-    start_method: str | None = None
-    merge_threads: int = 4
 
     def __post_init__(self) -> None:
         # Normalize crash_plan=None (the historical kwarg default) to {}.
@@ -152,8 +151,6 @@ class EngineOptions:
             raise ValueError("group_nbytes must be positive")
         if self.min_part_nbytes < 0:
             raise ValueError("min_part_nbytes must be non-negative")
-        if self.merge_threads <= 0:
-            raise ValueError("merge_threads must be positive")
         if any(n < 0 for n in self.crash_plan.values()):
             raise ValueError("crash_plan job counts must be non-negative")
         # One wording for stripe-shape errors everywhere (engine options,
@@ -226,71 +223,6 @@ class EngineBase:
         self.clusters = list(clusters)
         self.stores = dict(stores)
         self.options = options
-
-    # Backwards-compatible read access to the option fields.
-    @property
-    def batch_size(self) -> int:
-        return self.options.batch_size
-
-    @property
-    def group_nbytes(self) -> int:
-        return self.options.group_nbytes
-
-    @property
-    def scheduler_factory(self) -> Callable[[list[Job]], HeadScheduler]:
-        return self.options.scheduler_factory
-
-    @property
-    def batch_fold(self) -> bool:
-        return self.options.batch_fold
-
-    @property
-    def verify_chunks(self) -> bool:
-        return self.options.verify_chunks
-
-    @property
-    def prefetch(self) -> bool:
-        return self.options.prefetch
-
-    @property
-    def chunk_cache(self) -> ChunkCache | None:
-        return self.options.chunk_cache
-
-    @property
-    def retry(self) -> RetryPolicy | None:
-        return self.options.retry
-
-    @property
-    def crash_plan(self) -> dict[str, int]:
-        return self.options.crash_plan
-
-    @property
-    def adaptive_fetch(self) -> bool:
-        return self.options.adaptive_fetch
-
-    @property
-    def min_part_nbytes(self) -> int:
-        return self.options.min_part_nbytes
-
-    @property
-    def autotune_params(self) -> AutotuneParams | None:
-        return self.options.autotune_params
-
-    @property
-    def hedge(self) -> HedgePolicy | None:
-        return self.options.hedge
-
-    @property
-    def breaker(self) -> BreakerPolicy | None:
-        return self.options.breaker
-
-    @property
-    def pushdown(self) -> str | None:
-        return self.options.pushdown
-
-    @property
-    def stripe(self) -> tuple[int, int] | None:
-        return self.options.stripe
 
     def make_health(self) -> HealthRegistry | None:
         """One shared health registry per run, or ``None`` when neither
@@ -515,17 +447,14 @@ class LockMaster:
 # -- shared fetch accounting --------------------------------------------------
 
 
+#: The :class:`FetchInfo` counters :class:`WorkerStats` declares too.
+_FETCH_INFO_COUNTERS = tuple(f.name for f in fields(FetchInfo) if f.name in COUNTERS)
+
+
 def account_fetch_info(wstats: WorkerStats, info: FetchInfo) -> None:
     """Fold one fetch's :class:`FetchInfo` into a worker's counters."""
-    wstats.decode_s += info.decode_s
-    wstats.bytes_wire += info.bytes_wire
-    wstats.bytes_logical += info.bytes_logical
-    wstats.n_copies += info.n_copies
-    wstats.n_failovers += info.n_failovers
-    wstats.n_hedges += info.n_hedges
-    wstats.hedge_wins += info.hedge_wins
-    wstats.n_fragments += info.n_fragments
-    wstats.n_parity_decodes += info.n_parity_decodes
+    for name in _FETCH_INFO_COUNTERS:
+        setattr(wstats, name, getattr(wstats, name) + getattr(info, name))
     if info.cache_hit:
         wstats.cache_hits += 1
     else:
@@ -560,19 +489,18 @@ def rollup_fetcher_stats(
 ) -> None:
     """Close one cluster's fetchers and fold their fault/autotune state.
 
-    Retry counts, giveups, retried bytes, and (when adaptive fetch is
-    on) each path's autotuner snapshot land in :class:`ClusterStats` --
-    identically for every engine.
+    Every fetcher-level counter :class:`WorkerStats` declares (retries,
+    giveups, retried bytes, ...) lands in the cluster's
+    :attr:`~ClusterStats.fetcher_row`, the latency samples and (when
+    adaptive fetch is on) each path's autotuner snapshot in
+    :class:`ClusterStats` -- identically for every engine.
     """
+    row = cstats.fetcher_row
     for loc, f in fetchers.items():
         if close:
             f.close()
-        cstats.n_retries += f.n_retries
-        cstats.n_errors += f.n_giveups
-        cstats.bytes_retried += f.bytes_retried
-        cstats.n_breaker_skips += f.n_breaker_skips
-        cstats.n_abandoned += f.n_abandoned
-        cstats.fragments_wasted_bytes += f.fragments_wasted_bytes
+        for name, attr in FETCHER_COUNTERS.items():
+            setattr(row, name, getattr(row, name) + getattr(f, attr))
         cstats.fetch_latencies.extend(f.fetch_latencies)
         if f.autotune is not None and f.autotune.n_samples:
             cstats.autotune[loc] = f.autotune.snapshot()

@@ -106,6 +106,11 @@ from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 __all__ = ["ProcessEngine"]
 
+#: How worker processes start: ``fork`` where available, else ``spawn``.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+#: Width of the parallel tree merge in the global reduction.
+MERGE_THREADS = 4
+
 
 # -- worker-process side ------------------------------------------------------
 
@@ -259,10 +264,12 @@ class ProcessEngine(EngineBase):
     as every engine (scheduling, caching, retries, crash injection);
     ``prefetch`` controls whether each feeder keeps a second fetch in
     flight (double buffering, the default here) or runs strictly
-    fetch-then-compute.  ``start_method`` picks the multiprocessing
-    start method (default ``fork`` where available -- workers are forked
-    before any engine thread starts, so the fork is safe);
-    ``merge_threads`` bounds the parallel tree-merge width.
+    fetch-then-compute.  Workers start with ``fork`` where the platform
+    has it, else ``spawn`` (:data:`START_METHOD`).  The fork runs on the
+    thread that calls :meth:`run`, which under
+    ``BurstingService(engine="process")`` is a ``svc-run-*`` thread while
+    other service threads are alive.  The global reduction merges with
+    a parallel tree :data:`MERGE_THREADS` wide.
     """
 
     def __init__(self, clusters, stores, *, options=None, **kwargs) -> None:
@@ -272,25 +279,13 @@ class ProcessEngine(EngineBase):
             kwargs.setdefault("prefetch", True)
         super().__init__(clusters, stores, options=options, **kwargs)
 
-    @property
-    def start_method(self) -> str:
-        sm = self.options.start_method
-        if sm is None:
-            methods = multiprocessing.get_all_start_methods()
-            sm = "fork" if "fork" in methods else "spawn"
-        return sm
-
-    @property
-    def merge_threads(self) -> int:
-        return self.options.merge_threads
-
     # -- top level -----------------------------------------------------------
 
     def run(self, spec: GeneralizedReductionSpec, index: DataIndex) -> RunResult:
         """Execute ``spec`` over the dataset described by ``index``."""
         EngineOptions.validate_index(index, self.stores)
         opts = self.options
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context(START_METHOD)
         # Start the resource tracker *now*, while no engine thread or
         # segment exists: forked workers then inherit (and spawn-started
         # ones are handed) the one shared tracker, whose register/
@@ -423,7 +418,7 @@ class ProcessEngine(EngineBase):
     ) -> ReductionObject:
         """Global reduction: parallel tree for the default merge."""
         if uses_default_global_reduction(spec):
-            return tree_global_reduction(spec, robjs, self.merge_threads)
+            return tree_global_reduction(spec, robjs, MERGE_THREADS)
         return spec.global_reduction(robjs)
 
     def _shutdown_workers(self, handles: list[_WorkerHandle]) -> None:

@@ -5,13 +5,20 @@ time into **processing**, **data retrieval**, and **sync** (barrier wait
 plus global-reduction exchange), and additionally tracks per-cluster job
 counts (Table I) and idle/global-reduction overheads (Table II).  Both
 execution engines populate these structures.
+
+Every counter is declared once, as a :class:`WorkerStats` field whose
+metadata carries its aggregation: the stacked-bar timers report the
+per-worker mean, every other counter the sum.  :class:`ClusterStats`
+and :class:`RunStats` derive each rollup from that declaration, so a
+new counter takes one field line plus the code that increments it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
-__all__ = ["WorkerStats", "ClusterStats", "RunStats"]
+__all__ = ["WorkerStats", "ClusterStats", "RunStats", "COUNTERS", "FETCHER_COUNTERS"]
 
 
 def _percentile(samples: list, q: float) -> float:
@@ -23,79 +30,38 @@ def _percentile(samples: list, q: float) -> float:
     return ordered[rank]
 
 
-@dataclass
-class WorkerStats:
-    """Timers accumulated by one worker (one core in the simulator)."""
+def _mean() -> Any:
+    """A stacked-bar timer: a cluster reports its per-worker mean."""
+    return field(default=0.0, metadata={"agg": "mean"})
 
-    processing_s: float = 0.0
-    retrieval_s: float = 0.0
-    sync_s: float = 0.0
-    jobs_processed: int = 0
-    jobs_stolen: int = 0        # jobs whose data lived at another site
-    finished_at: float = 0.0    # when this worker ran out of work
-    failed: bool = False        # worker died before the run finished
-    # Pipelined-retrieval accounting.  With prefetching, ``retrieval_s``
-    # counts only the *stall* (time the worker actually waited for data);
-    # ``overlap_s`` is the fetch time hidden under processing, so
-    # retrieval_s + overlap_s recovers the serial engine's retrieval bar.
-    overlap_s: float = 0.0
-    prefetch_hits: int = 0      # prefetched data ready before it was needed
-    prefetch_misses: int = 0    # worker stalled waiting for the prefetch
-    cache_hits: int = 0         # fetches served from the chunk cache
-    cache_misses: int = 0       # fetches that went to the store
-    # Fault-recovery accounting: jobs this worker re-executed after a
-    # failed worker returned them to the head, and the compute time
-    # those re-executions cost (the re-fetch lands in ``retrieval_s``).
-    jobs_recovered: int = 0
-    recovery_s: float = 0.0
-    # Cross-process accounting (ProcessEngine).  ``ipc_s`` is time spent
-    # moving data across the process boundary (copying chunk bytes into
-    # shared memory, queue round-trips); ``ser_s`` is reduction-object
-    # serialize/deserialize time; ``shm_nbytes`` counts bytes that
-    # crossed through shared-memory segments.  All zero for in-process
-    # engines.
-    ipc_s: float = 0.0
-    ser_s: float = 0.0
-    shm_nbytes: int = 0
-    # Transfer-layer accounting.  ``bytes_wire`` is what this worker's
-    # fetches actually pulled over store connections (encoded size for
-    # compressed chunks, zero on cache hits); ``bytes_logical`` the
-    # decoded payload handed to the fold; ``decode_s`` codec decode time
-    # (kept separate from retrieval stall).
-    bytes_wire: int = 0
-    bytes_logical: int = 0
-    decode_s: float = 0.0
-    # Hot-path accounting.  ``fold_s`` is time inside local-reduction
-    # kernels only (a subset of ``processing_s``, which also covers
-    # decode and verify); ``bytes_folded`` the unit bytes those kernels
-    # consumed; ``n_fold_calls`` how many kernel invocations they took
-    # (1 per chunk on the batch path, chunk/group on the loop path);
-    # ``n_copies`` whole-chunk buffer copies made after wire reassembly
-    # (codec inflations, shm copies, cache-hit copies -- 0 is the
-    # zero-copy ideal).
-    fold_s: float = 0.0
-    bytes_folded: int = 0
-    n_fold_calls: int = 0
-    n_copies: int = 0
-    # Replica-aware retrieval: sources that failed before a fetch
-    # succeeded elsewhere, hedged duplicate launches, and hedges whose
-    # backup beat the primary.
-    n_failovers: int = 0
-    n_hedges: int = 0
-    hedge_wins: int = 0
-    # Erasure-striped retrieval: fragments that fed reassemblies (k per
-    # striped fetch), reconstructions that needed a parity decode, and
-    # -- in the DES, where losers are observable synchronously -- bytes
-    # of losing fragments fetched but unused.  Real engines account
-    # wasted bytes on the fetcher instead (losers land after the fetch
-    # returns); ClusterStats sums both.
-    n_fragments: int = 0
-    n_parity_decodes: int = 0
-    fragments_wasted_bytes: int = 0
+
+def _sum(default: float = 0, *, fetcher: str | None = None) -> Any:
+    """A counter every level sums.  ``fetcher`` names the
+    :class:`~repro.storage.transfer.ParallelFetcher` attribute that
+    :func:`~repro.runtime.core.rollup_fetcher_stats` folds into it."""
+    return field(default=default, metadata={"agg": "sum", "fetcher": fetcher})
+
+
+class _Ratios:
+    """Ratios of summed counters, one formula at every level."""
+
+    cache_hits: int
+    cache_misses: int
+    bytes_wire: int
+    bytes_logical: int
+    fold_s: float
+    bytes_folded: int
 
     @property
-    def busy_s(self) -> float:
-        return self.processing_s + self.retrieval_s
+    def cache_hit_rate(self) -> float:
+        """Fraction of fetches served by the chunk cache."""
+        total = self.cache_hits + self.cache_misses
+        return self.cache_hits / total if total else 0.0
+
+    @property
+    def compress_ratio(self) -> float:
+        """Wire bytes per logical byte (1.0 = uncompressed, <1 = shrunk)."""
+        return self.bytes_wire / self.bytes_logical if self.bytes_logical else 1.0
 
     @property
     def fold_ns_per_byte(self) -> float:
@@ -104,26 +70,129 @@ class WorkerStats:
 
 
 @dataclass
-class ClusterStats:
-    """Aggregated view of one cluster's workers."""
+class WorkerStats(_Ratios):
+    """Timers accumulated by one worker (one core in the simulator).
+
+    A cluster also keeps one row of this type for its fetchers
+    (:attr:`ClusterStats.fetcher_row`): the counters marked ``fetcher=``
+    are filled there, from fetcher state that outlives any one fetch.
+    """
+
+    processing_s: float = _mean()
+    retrieval_s: float = _mean()
+    sync_s: float = _mean()
+    jobs_processed: int = _sum()
+    jobs_stolen: int = _sum()       # jobs whose data lived at another site
+    finished_at: float = 0.0        # when this worker ran out of work
+    failed: bool = False            # worker died before the run finished
+    # Pipelined-retrieval accounting.  With prefetching, ``retrieval_s``
+    # counts only the *stall* (time the worker actually waited for data);
+    # ``overlap_s`` is the fetch time hidden under processing, so
+    # retrieval_s + overlap_s recovers the serial engine's retrieval bar.
+    overlap_s: float = _mean()
+    prefetch_hits: int = _sum()     # prefetched data ready before it was needed
+    prefetch_misses: int = _sum()   # worker stalled waiting for the prefetch
+    cache_hits: int = _sum()        # fetches served from the chunk cache
+    cache_misses: int = _sum()      # fetches that went to the store
+    # Fault-recovery accounting: jobs this worker re-executed after a
+    # failed worker returned them to the head, and the compute time
+    # those re-executions cost (the re-fetch lands in ``retrieval_s``).
+    jobs_recovered: int = _sum()
+    recovery_s: float = _sum(0.0)
+    # Cross-process accounting (ProcessEngine).  ``ipc_s`` is time spent
+    # moving data across the process boundary (copying chunk bytes into
+    # shared memory, queue round-trips); ``ser_s`` is reduction-object
+    # serialize/deserialize time; ``shm_nbytes`` counts bytes that
+    # crossed through shared-memory segments.  All zero for in-process
+    # engines.
+    ipc_s: float = _mean()
+    ser_s: float = _mean()
+    shm_nbytes: int = _sum()
+    # Transfer-layer accounting.  ``bytes_wire`` is what this worker's
+    # fetches actually pulled over store connections (encoded size for
+    # compressed chunks, zero on cache hits); ``bytes_logical`` the
+    # decoded payload handed to the fold; ``decode_s`` codec decode time
+    # (kept separate from retrieval stall).
+    bytes_wire: int = _sum()
+    bytes_logical: int = _sum()
+    decode_s: float = _sum(0.0)
+    # Hot-path accounting.  ``fold_s`` is time inside local-reduction
+    # kernels only (a subset of ``processing_s``, which also covers
+    # decode and verify); ``bytes_folded`` the unit bytes those kernels
+    # consumed; ``n_fold_calls`` how many kernel invocations they took
+    # (1 per chunk on the batch path, chunk/group on the loop path);
+    # ``n_copies`` whole-chunk buffer copies made after wire reassembly
+    # (codec inflations, shm copies, cache-hit copies -- 0 is the
+    # zero-copy ideal).
+    fold_s: float = _sum(0.0)
+    bytes_folded: int = _sum()
+    n_fold_calls: int = _sum()
+    n_copies: int = _sum()
+    # Replica-aware retrieval: sources that failed before a fetch
+    # succeeded elsewhere, hedged duplicate launches, and hedges whose
+    # backup beat the primary.
+    n_failovers: int = _sum()
+    n_hedges: int = _sum()
+    hedge_wins: int = _sum()
+    # Erasure-striped retrieval: fragments that fed reassemblies (k per
+    # striped fetch) and reconstructions that needed a parity decode.
+    n_fragments: int = _sum()
+    n_parity_decodes: int = _sum()
+    # Bytes of losing legs (fragments or hedged replicas) fetched but
+    # unused.  The DES counts them per worker, where losers are
+    # observable synchronously; real engines count them on the fetcher
+    # (losers land after the fetch returns).  Every level sums both.
+    fragments_wasted_bytes: int = _sum(fetcher="fragments_wasted_bytes")
+    # Fetch-path fault counters, kept by the fetchers only: sub-range
+    # retries issued, fetches that failed past the retry policy, bytes
+    # those retries re-requested, legs refused by their store's
+    # breaker, and attempts abandoned by per-attempt timeouts.
+    n_retries: int = _sum(fetcher="n_retries")
+    n_errors: int = _sum(fetcher="n_giveups")
+    bytes_retried: int = _sum(fetcher="bytes_retried")
+    n_breaker_skips: int = _sum(fetcher="n_breaker_skips")
+    n_abandoned: int = _sum(fetcher="n_abandoned")
+
+    @property
+    def busy_s(self) -> float:
+        return self.processing_s + self.retrieval_s
+
+
+#: Every declared counter and its aggregation ("mean" or "sum").
+COUNTERS: dict[str, str] = {
+    f.name: f.metadata["agg"] for f in fields(WorkerStats) if "agg" in f.metadata
+}
+#: Fetcher-level counters: WorkerStats field -> ParallelFetcher attribute.
+FETCHER_COUNTERS: dict[str, str] = {
+    f.name: f.metadata["fetcher"]
+    for f in fields(WorkerStats)
+    if f.metadata.get("fetcher")
+}
+
+
+def _undeclared(obj: object, name: str) -> AttributeError:
+    return AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+
+
+@dataclass
+class ClusterStats(_Ratios):
+    """Aggregated view of one cluster's workers.
+
+    Every counter :class:`WorkerStats` declares reads here as its
+    rollup: the per-worker mean for the stacked-bar timers, the total
+    over the workers and :attr:`fetcher_row` for the rest.
+    """
 
     name: str
     location: str
     workers: list[WorkerStats] = field(default_factory=list)
+    # The counters this cluster's fetchers kept (retries, giveups,
+    # losing-leg bytes, ...): summed into the rollups, not a worker.
+    fetcher_row: WorkerStats = field(default_factory=WorkerStats)
     robj_nbytes: int = 0            # size of the reduction object it shipped
     robj_transfer_s: float = 0.0    # time to send it to the head
     finished_at: float = 0.0        # when the last worker finished jobs
     idle_s: float = 0.0             # waiting for the other cluster, unable to steal
-    # Fetch-path fault counters, filled from this cluster's fetchers.
-    n_retries: int = 0              # sub-range retries issued
-    n_errors: int = 0               # fetches that failed past the retry policy
-    bytes_retried: int = 0          # bytes re-requested by those retries
-    n_breaker_skips: int = 0        # legs refused by their store's breaker
-    n_abandoned: int = 0            # attempts abandoned by per-attempt timeouts
-    # Bytes of losing legs (fragments or hedged replicas) fetched but
-    # unused, rolled up from this cluster's fetchers (see WorkerStats
-    # for the DES path).
-    fragments_wasted_bytes: int = 0
     # Per-winning-leg wall seconds from the start of its race (cache
     # hits excluded), pooled from this cluster's fetchers -- the p95
     # latency sample set.
@@ -133,27 +202,18 @@ class ClusterStats:
     # (parts, effective_bw, trajectory, ...).
     autotune: dict = field(default_factory=dict)
 
+    def __getattr__(self, name: str) -> Any:
+        agg = COUNTERS.get(name)
+        if agg is None:
+            raise _undeclared(self, name)
+        total = sum(getattr(w, name) for w in self.workers)
+        if agg == "mean":
+            return total / len(self.workers) if self.workers else 0.0
+        return total + getattr(self.fetcher_row, name)
+
     @property
     def n_workers(self) -> int:
         return len(self.workers)
-
-    def _mean(self, attr: str) -> float:
-        if not self.workers:
-            return 0.0
-        return sum(getattr(w, attr) for w in self.workers) / len(self.workers)
-
-    @property
-    def processing_s(self) -> float:
-        """Mean per-worker processing time (the stacked-bar component)."""
-        return self._mean("processing_s")
-
-    @property
-    def retrieval_s(self) -> float:
-        return self._mean("retrieval_s")
-
-    @property
-    def sync_s(self) -> float:
-        return self._mean("sync_s")
 
     @property
     def total_s(self) -> float:
@@ -164,110 +224,8 @@ class ClusterStats:
         )
 
     @property
-    def jobs_processed(self) -> int:
-        return sum(w.jobs_processed for w in self.workers)
-
-    @property
-    def jobs_stolen(self) -> int:
-        return sum(w.jobs_stolen for w in self.workers)
-
-    @property
     def workers_failed(self) -> int:
         return sum(1 for w in self.workers if w.failed)
-
-    @property
-    def overlap_s(self) -> float:
-        """Mean per-worker fetch time hidden under processing."""
-        return self._mean("overlap_s")
-
-    @property
-    def prefetch_hits(self) -> int:
-        return sum(w.prefetch_hits for w in self.workers)
-
-    @property
-    def prefetch_misses(self) -> int:
-        return sum(w.prefetch_misses for w in self.workers)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(w.cache_hits for w in self.workers)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(w.cache_misses for w in self.workers)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of this cluster's fetches served by the chunk cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def jobs_recovered(self) -> int:
-        return sum(w.jobs_recovered for w in self.workers)
-
-    @property
-    def recovery_s(self) -> float:
-        """Total compute time spent re-executing requeued jobs."""
-        return sum(w.recovery_s for w in self.workers)
-
-    @property
-    def ipc_s(self) -> float:
-        """Mean per-worker cross-process data-movement time."""
-        return self._mean("ipc_s")
-
-    @property
-    def ser_s(self) -> float:
-        """Mean per-worker reduction-object (de)serialization time."""
-        return self._mean("ser_s")
-
-    @property
-    def shm_nbytes(self) -> int:
-        """Total bytes this cluster moved through shared memory."""
-        return sum(w.shm_nbytes for w in self.workers)
-
-    @property
-    def bytes_wire(self) -> int:
-        """Total bytes this cluster's fetches pulled over connections."""
-        return sum(w.bytes_wire for w in self.workers)
-
-    @property
-    def bytes_logical(self) -> int:
-        """Total decoded chunk bytes this cluster's workers consumed."""
-        return sum(w.bytes_logical for w in self.workers)
-
-    @property
-    def compress_ratio(self) -> float:
-        """Wire bytes per logical byte (1.0 = uncompressed, <1 = shrunk)."""
-        return self.bytes_wire / self.bytes_logical if self.bytes_logical else 1.0
-
-    @property
-    def decode_s(self) -> float:
-        """Total codec decode time across this cluster's workers."""
-        return sum(w.decode_s for w in self.workers)
-
-    @property
-    def fold_s(self) -> float:
-        """Total fold-kernel time across this cluster's workers."""
-        return sum(w.fold_s for w in self.workers)
-
-    @property
-    def bytes_folded(self) -> int:
-        return sum(w.bytes_folded for w in self.workers)
-
-    @property
-    def n_fold_calls(self) -> int:
-        return sum(w.n_fold_calls for w in self.workers)
-
-    @property
-    def n_copies(self) -> int:
-        """Total post-reassembly buffer copies across this cluster."""
-        return sum(w.n_copies for w in self.workers)
-
-    @property
-    def fold_ns_per_byte(self) -> float:
-        """Cluster-wide fold-kernel nanoseconds per unit byte."""
-        return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
 
     @property
     def effective_bw(self) -> float:
@@ -278,41 +236,18 @@ class ClusterStats:
         )
 
     @property
-    def n_failovers(self) -> int:
-        return sum(w.n_failovers for w in self.workers)
-
-    @property
-    def n_hedges(self) -> int:
-        return sum(w.n_hedges for w in self.workers)
-
-    @property
-    def hedge_wins(self) -> int:
-        return sum(w.hedge_wins for w in self.workers)
-
-    @property
-    def n_fragments(self) -> int:
-        return sum(w.n_fragments for w in self.workers)
-
-    @property
-    def n_parity_decodes(self) -> int:
-        return sum(w.n_parity_decodes for w in self.workers)
-
-    @property
-    def wasted_fragment_bytes(self) -> int:
-        """Losing-fragment bytes: fetcher rollup plus DES worker counts."""
-        return self.fragments_wasted_bytes + sum(
-            w.fragments_wasted_bytes for w in self.workers
-        )
-
-    @property
     def fetch_p95_s(self) -> float:
         """95th-percentile successful-fetch latency (0 with no samples)."""
         return _percentile(self.fetch_latencies, 0.95)
 
 
 @dataclass
-class RunStats:
-    """Complete accounting for one execution."""
+class RunStats(_Ratios):
+    """Complete accounting for one execution.
+
+    Every summed counter :class:`WorkerStats` declares reads here as its
+    total over the clusters; the stacked-bar timers stay per-cluster.
+    """
 
     clusters: dict[str, ClusterStats] = field(default_factory=dict)
     total_s: float = 0.0              # wall-clock (sim or real) of the run
@@ -333,78 +268,14 @@ class RunStats:
     bytes_pruned: int = 0
     n_reordered: int = 0
 
-    @property
-    def jobs_processed(self) -> int:
-        return sum(c.jobs_processed for c in self.clusters.values())
-
-    @property
-    def jobs_stolen(self) -> int:
-        return sum(c.jobs_stolen for c in self.clusters.values())
-
-    @property
-    def prefetch_hits(self) -> int:
-        return sum(c.prefetch_hits for c in self.clusters.values())
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(c.cache_hits for c in self.clusters.values())
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(c.cache_misses for c in self.clusters.values())
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def n_retries(self) -> int:
-        return sum(c.n_retries for c in self.clusters.values())
-
-    @property
-    def n_errors(self) -> int:
-        return sum(c.n_errors for c in self.clusters.values())
-
-    @property
-    def bytes_retried(self) -> int:
-        return sum(c.bytes_retried for c in self.clusters.values())
+    def __getattr__(self, name: str) -> Any:
+        if COUNTERS.get(name) != "sum":
+            raise _undeclared(self, name)
+        return sum(getattr(c, name) for c in self.clusters.values())
 
     @property
     def n_failed_workers(self) -> int:
         return sum(c.workers_failed for c in self.clusters.values())
-
-    @property
-    def n_failovers(self) -> int:
-        return sum(c.n_failovers for c in self.clusters.values())
-
-    @property
-    def n_hedges(self) -> int:
-        return sum(c.n_hedges for c in self.clusters.values())
-
-    @property
-    def hedge_wins(self) -> int:
-        return sum(c.hedge_wins for c in self.clusters.values())
-
-    @property
-    def n_breaker_skips(self) -> int:
-        return sum(c.n_breaker_skips for c in self.clusters.values())
-
-    @property
-    def n_abandoned(self) -> int:
-        return sum(c.n_abandoned for c in self.clusters.values())
-
-    @property
-    def n_fragments(self) -> int:
-        return sum(c.n_fragments for c in self.clusters.values())
-
-    @property
-    def n_parity_decodes(self) -> int:
-        return sum(c.n_parity_decodes for c in self.clusters.values())
-
-    @property
-    def fragments_wasted_bytes(self) -> int:
-        return sum(c.wasted_fragment_bytes for c in self.clusters.values())
 
     @property
     def n_breaker_transitions(self) -> int:
@@ -421,55 +292,6 @@ class RunStats:
         for c in self.clusters.values():
             pooled.extend(c.fetch_latencies)
         return _percentile(pooled, 0.95)
-
-    @property
-    def jobs_recovered(self) -> int:
-        return sum(c.jobs_recovered for c in self.clusters.values())
-
-    @property
-    def recovery_s(self) -> float:
-        return sum(c.recovery_s for c in self.clusters.values())
-
-    @property
-    def shm_nbytes(self) -> int:
-        return sum(c.shm_nbytes for c in self.clusters.values())
-
-    @property
-    def bytes_wire(self) -> int:
-        return sum(c.bytes_wire for c in self.clusters.values())
-
-    @property
-    def bytes_logical(self) -> int:
-        return sum(c.bytes_logical for c in self.clusters.values())
-
-    @property
-    def compress_ratio(self) -> float:
-        return self.bytes_wire / self.bytes_logical if self.bytes_logical else 1.0
-
-    @property
-    def decode_s(self) -> float:
-        return sum(c.decode_s for c in self.clusters.values())
-
-    @property
-    def fold_s(self) -> float:
-        return sum(c.fold_s for c in self.clusters.values())
-
-    @property
-    def bytes_folded(self) -> int:
-        return sum(c.bytes_folded for c in self.clusters.values())
-
-    @property
-    def n_fold_calls(self) -> int:
-        return sum(c.n_fold_calls for c in self.clusters.values())
-
-    @property
-    def n_copies(self) -> int:
-        return sum(c.n_copies for c in self.clusters.values())
-
-    @property
-    def fold_ns_per_byte(self) -> float:
-        """Run-wide fold-kernel nanoseconds per unit byte."""
-        return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
 
     def breakdown_rows(self) -> list[dict]:
         """Rows for the Figure-3-style stacked breakdown.
@@ -547,7 +369,7 @@ class RunStats:
                 "n_breaker_skips": c.n_breaker_skips,
                 "n_abandoned": c.n_abandoned,
                 "n_parity_decodes": c.n_parity_decodes,
-                "wasted_frag_bytes": c.wasted_fragment_bytes,
+                "wasted_frag_bytes": c.fragments_wasted_bytes,
                 "fetch_p95_ms": round(c.fetch_p95_s * 1e3, 3),
             }
             for c in self.clusters.values()

@@ -757,51 +757,32 @@ class BurstingService(EngineBase):
         service-level view -- one line per run (fault isolation visible
         per run) and the fleet totals at the bottom.
         """
-        rows: list[dict[str, Any]] = []
-        totals = {
-            "chunks": 0, "chunks_done": 0, "total_s": 0.0, "stolen": 0,
-            "workers_failed": 0, "recovered": 0, "requeued": 0, "retries": 0,
-        }
         with self._cond:
             entries = list(self._order)
-        for e in entries:
-            s = e.stats
-            row = {
+        rows: list[dict[str, Any]] = [
+            {
                 "job": e.run_id,
                 "tenant": e.tenant,
                 "state": e.handle.status().value,
                 "chunks": e.n_total,
                 "chunks_done": e.n_done,
-                "total_s": round(s.total_s, 4),
-                "stolen": s.jobs_stolen,
-                "workers_failed": s.n_failed_workers,
-                "recovered": s.jobs_recovered,
-                "requeued": s.n_requeued_jobs,
-                "retries": s.n_retries,
+                "total_s": round(e.stats.total_s, 4),
+                "stolen": e.stats.jobs_stolen,
+                "workers_failed": e.stats.n_failed_workers,
+                "recovered": e.stats.jobs_recovered,
+                "requeued": e.stats.n_requeued_jobs,
+                "retries": e.stats.n_retries,
             }
-            rows.append(row)
-            totals["chunks"] += e.n_total
-            totals["chunks_done"] += e.n_done
-            totals["total_s"] += s.total_s
-            totals["stolen"] += s.jobs_stolen
-            totals["workers_failed"] += s.n_failed_workers
-            totals["recovered"] += s.jobs_recovered
-            totals["requeued"] += s.n_requeued_jobs
-            totals["retries"] += s.n_retries
+            for e in entries
+        ]
+        # The ALL row sums every numeric column of the per-run rows.
+        totals: dict[str, Any] = {"job": "ALL", "tenant": "-", "state": "-"}
+        for row in rows:
+            for col, value in row.items():
+                if not isinstance(value, str):
+                    totals[col] = totals.get(col, 0) + value
         rows.append(
-            {
-                "job": "ALL",
-                "tenant": "-",
-                "state": "-",
-                "chunks": totals["chunks"],
-                "chunks_done": totals["chunks_done"],
-                "total_s": round(totals["total_s"], 4),
-                "stolen": totals["stolen"],
-                "workers_failed": totals["workers_failed"],
-                "recovered": totals["recovered"],
-                "requeued": totals["requeued"],
-                "retries": totals["retries"],
-            }
+            {k: round(v, 4) if isinstance(v, float) else v for k, v in totals.items()}
         )
         return rows
 

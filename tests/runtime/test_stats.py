@@ -1,6 +1,22 @@
 """Unit tests for execution-time accounting."""
 
-from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
+from dataclasses import fields
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.runtime.core import account_fetch_info, rollup_fetcher_stats
+from repro.runtime.stats import (
+    COUNTERS,
+    FETCHER_COUNTERS,
+    ClusterStats,
+    RunStats,
+    WorkerStats,
+)
+from repro.storage.local import MemoryStore
+from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 
 def make_cluster():
@@ -119,3 +135,174 @@ class TestRunStats:
                 "fetch_p95_ms": 0.0,
             }
         ]
+
+
+# -- rollups derived from the WorkerStats declaration -------------------------
+#
+# The rollups each class defined by hand before the declaration drove
+# them, written out so none can silently vanish.
+
+#: Stacked-bar timers: a cluster reports the per-worker mean.
+CLUSTER_MEANS = ["processing_s", "retrieval_s", "sync_s", "overlap_s", "ipc_s", "ser_s"]
+#: Counters workers increment; a cluster reports the sum.
+CLUSTER_WORKER_SUMS = [
+    "jobs_processed", "jobs_stolen", "prefetch_hits", "prefetch_misses",
+    "cache_hits", "cache_misses", "jobs_recovered", "recovery_s", "shm_nbytes",
+    "bytes_wire", "bytes_logical", "decode_s", "fold_s", "bytes_folded",
+    "n_fold_calls", "n_copies", "n_failovers", "n_hedges", "hedge_wins",
+    "n_fragments", "n_parity_decodes",
+]
+#: Cluster counter <- fetcher attribute (wasted bytes also sum the workers).
+CLUSTER_FETCHER_SUMS = {
+    "n_retries": "n_retries", "n_errors": "n_giveups",
+    "bytes_retried": "bytes_retried", "n_breaker_skips": "n_breaker_skips",
+    "n_abandoned": "n_abandoned", "fragments_wasted_bytes": "fragments_wasted_bytes",
+}
+#: Counters a run sums over its clusters.
+RUN_SUMS = [
+    "jobs_processed", "jobs_stolen", "prefetch_hits", "cache_hits", "cache_misses",
+    "n_retries", "n_errors", "bytes_retried", "n_failovers", "n_hedges",
+    "hedge_wins", "n_breaker_skips", "n_abandoned", "n_fragments",
+    "n_parity_decodes", "fragments_wasted_bytes", "jobs_recovered", "recovery_s",
+    "shm_nbytes", "bytes_wire", "bytes_logical", "decode_s", "fold_s",
+    "bytes_folded", "n_fold_calls", "n_copies",
+]
+WORKER_COUNTERS = CLUSTER_MEANS + CLUSTER_WORKER_SUMS + ["fragments_wasted_bytes"]
+
+
+def _value(name):
+    if name.endswith("_s"):
+        return st.floats(0.0, 1e3, allow_nan=False)
+    return st.integers(0, 1 << 40)
+
+
+workers_st = st.lists(
+    st.fixed_dictionaries(
+        {n: _value(n) for n in WORKER_COUNTERS}, optional={"failed": st.booleans()}
+    ),
+    max_size=4,
+)
+fetchers_st = st.lists(
+    st.fixed_dictionaries(
+        {attr: st.integers(0, 1 << 30) for attr in CLUSTER_FETCHER_SUMS.values()}
+        | {"fetch_latencies": st.lists(st.floats(0.0, 5.0), max_size=4)}
+    ),
+    max_size=3,
+)
+
+
+def _build(cluster_specs):
+    rs = RunStats()
+    for i, (workers, fetchers) in enumerate(cluster_specs):
+        c = ClusterStats(f"c{i}", f"loc{i}")
+        c.workers = [WorkerStats(**w) for w in workers]
+        fakes = {
+            f"f{j}": SimpleNamespace(**f, autotune=None) for j, f in enumerate(fetchers)
+        }
+        rollup_fetcher_stats(c, fakes, close=False)
+        rs.clusters[c.name] = c
+    return rs
+
+
+def _ratio(num, den, empty):
+    return num / den if den else empty
+
+
+class TestDeclaredRollups:
+    @given(st.lists(st.tuples(workers_st, fetchers_st), max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_rollups_equal_explicit_means_and_sums(self, cluster_specs):
+        rs = _build(cluster_specs)
+        expected_run = dict.fromkeys(RUN_SUMS, 0)
+        for c, (workers, fetchers) in zip(rs.clusters.values(), cluster_specs):
+            want = {}
+            for n in CLUSTER_MEANS:
+                vals = [w[n] for w in workers]
+                want[n] = sum(vals) / len(vals) if vals else 0.0
+            for n in CLUSTER_WORKER_SUMS:
+                want[n] = sum(w[n] for w in workers)
+            for n, attr in CLUSTER_FETCHER_SUMS.items():
+                want[n] = sum(w.get(n, 0) for w in workers) + sum(
+                    f[attr] for f in fetchers
+                )
+            for n, v in want.items():
+                assert getattr(c, n) == v, n
+            assert c.n_workers == len(workers)
+            assert c.workers_failed == sum(w.get("failed", False) for w in workers)
+            assert c.total_s == (
+                want["processing_s"] + want["retrieval_s"] + want["sync_s"]
+                + want["ipc_s"] + want["ser_s"]
+            )
+            assert c.cache_hit_rate == _ratio(
+                want["cache_hits"], want["cache_hits"] + want["cache_misses"], 0.0
+            )
+            assert c.compress_ratio == _ratio(
+                want["bytes_wire"], want["bytes_logical"], 1.0
+            )
+            assert c.fold_ns_per_byte == _ratio(
+                want["fold_s"] * 1e9, want["bytes_folded"], 0.0
+            )
+            assert c.fetch_latencies == [
+                t for f in fetchers for t in f["fetch_latencies"]
+            ]
+            for n in RUN_SUMS:
+                expected_run[n] += want[n]
+        for n, v in expected_run.items():
+            assert getattr(rs, n) == v, n
+        assert rs.n_failed_workers == sum(
+            c.workers_failed for c in rs.clusters.values()
+        )
+        assert rs.cache_hit_rate == _ratio(
+            expected_run["cache_hits"],
+            expected_run["cache_hits"] + expected_run["cache_misses"],
+            0.0,
+        )
+        assert rs.compress_ratio == _ratio(
+            expected_run["bytes_wire"], expected_run["bytes_logical"], 1.0
+        )
+        assert rs.fold_ns_per_byte == _ratio(
+            expected_run["fold_s"] * 1e9, expected_run["bytes_folded"], 0.0
+        )
+
+    def test_fetcher_counters_name_real_fetcher_attributes(self):
+        fetcher = ParallelFetcher(MemoryStore(), 1)
+        try:
+            for attr in FETCHER_COUNTERS.values():
+                assert getattr(fetcher, attr) == 0, attr
+        finally:
+            fetcher.close()
+
+    @pytest.mark.parametrize(
+        "obj, name",
+        [
+            (ClusterStats("x", "local"), "n_bogus"),
+            (ClusterStats("x", "local"), "wasted_fragment_bytes"),
+            (ClusterStats("x", "local"), "failed"),
+            (RunStats(), "n_bogus"),
+            (RunStats(), "processing_s"),
+            (RunStats(), "failed"),
+        ],
+    )
+    def test_undeclared_names_raise(self, obj, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(obj, name)
+        assert not hasattr(obj, name)
+
+    def test_account_fetch_info_carries_every_fetch_counter(self):
+        info = FetchInfo()
+        for i, f in enumerate(fields(FetchInfo)):
+            if f.name != "cache_hit":
+                setattr(info, f.name, type(f.default)(i + 1))
+        w = WorkerStats()
+        account_fetch_info(w, info)
+        carried = [f.name for f in fields(FetchInfo) if f.name in COUNTERS]
+        assert {f.name for f in fields(FetchInfo)} - set(carried) == {
+            "cache_hit", "fetch_s",
+        }
+        for name in carried:
+            assert getattr(w, name) == getattr(info, name), name
+        assert (w.cache_hits, w.cache_misses) == (0, 1)
+        info.cache_hit = True
+        account_fetch_info(w, info)
+        assert (w.cache_hits, w.cache_misses) == (1, 1)
+        assert w.n_hedges == 2 * info.n_hedges

@@ -46,6 +46,15 @@ class TestStripedSim:
         assert res.stats.n_parity_decodes > 0
         assert res.stats.fragments_wasted_bytes > 0
 
+    def test_wasted_bytes_mean_the_same_total_at_every_level(self):
+        index, clusters = setup()
+        res = simulate_run(index, clusters, PROFILE, PARAMS, seed=1,
+                           stripe=(4, 2), store_stalls=STALLS)
+        per_cluster = [c.fragments_wasted_bytes for c in res.stats.clusters.values()]
+        assert sum(per_cluster) == res.stats.fragments_wasted_bytes > 0
+        rows = res.stats.fault_rows()
+        assert [r["wasted_frag_bytes"] for r in rows] == per_cluster
+
     def test_striping_masks_stalls(self):
         index, clusters = setup()
         base = simulate_run(index, clusters, PROFILE, PARAMS, seed=1,
